@@ -3,7 +3,7 @@
 //! paper's future-work algorithm against the shared-memory engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graft_core::{init::random_greedy, ms_bfs_graft_parallel, MsBfsOptions};
+use graft_core::{init::random_greedy, solve_from, Algorithm, SolveOptions};
 use graft_dist::distributed_ms_bfs_graft;
 use graft_gen::{suite::by_name, Scale};
 
@@ -16,7 +16,8 @@ fn bench(c: &mut Criterion) {
         let m0 = random_greedy(&g, 0xC0FFEE);
         group.bench_with_input(BenchmarkId::new("shared", name), &g, |b, g| {
             b.iter(|| {
-                let out = ms_bfs_graft_parallel(g, m0.clone(), &MsBfsOptions::graft(), 0);
+                let opts = SolveOptions::default();
+                let out = solve_from(g, m0.clone(), Algorithm::MsBfsGraftParallel, &opts);
                 std::hint::black_box(out.matching.cardinality())
             })
         });

@@ -2,7 +2,7 @@
 //! vs. +grafting (the paper's two-technique ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graft_core::{init::random_greedy, ms_bfs_graft_parallel, MsBfsOptions};
+use graft_core::{init::random_greedy, solve_from, Algorithm, MsBfsOptions, SolveOptions};
 use graft_gen::suite::GraphClass;
 use graft_gen::{suite::suite, Scale};
 
@@ -26,10 +26,15 @@ fn bench(c: &mut Criterion) {
     {
         let g = entry.build(Scale::Tiny);
         let m0 = random_greedy(&g, 0xC0FFEE);
-        for (label, opts) in configs {
+        for (label, ms_bfs) in configs {
+            let opts = SolveOptions {
+                threads,
+                ms_bfs,
+                ..SolveOptions::default()
+            };
             group.bench_with_input(BenchmarkId::new(label, entry.name), &g, |b, g| {
                 b.iter(|| {
-                    let out = ms_bfs_graft_parallel(g, m0.clone(), &opts, threads);
+                    let out = solve_from(g, m0.clone(), Algorithm::MsBfsGraftParallel, &opts);
                     std::hint::black_box(out.matching.cardinality())
                 })
             });

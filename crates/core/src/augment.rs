@@ -15,7 +15,7 @@
 //! on a plain CSR *and* on graft-dyn's delta overlay (base CSR minus
 //! tombstones plus insert buffers) without materializing anything.
 
-use crate::workspace::SolveWorkspace;
+use crate::workspace::{MsBuffers, SolveWorkspace};
 use crate::Matching;
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 
@@ -139,12 +139,14 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
     budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
-    let ms = &mut ws.ms;
-    ms.begin_solve(g.nx(), g.ny());
-    let mut frontier = std::mem::take(&mut ms.frontier);
-    let mut next = std::mem::take(&mut ms.next);
-    frontier.clear();
-    next.clear();
+    ws.ms.begin_solve(g.nx(), g.ny());
+    let MsBuffers {
+        marks: ms,
+        frontier,
+        next,
+        path,
+        ..
+    } = &mut ws.ms;
     for x in sources {
         // `root_x` doubles as the X-side visited mark (epoch-packed, so
         // this costs no clear); the stored value is unused.
@@ -156,7 +158,7 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
     let mut over_budget = false;
     let mut found: Option<VertexId> = None;
     while !frontier.is_empty() && found.is_none() && !over_budget {
-        for &x in &frontier {
+        for &x in frontier.iter() {
             g.for_each_x_neighbor(x, &mut |y| {
                 traversed += 1;
                 if traversed > budget {
@@ -167,7 +169,7 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
                     return false;
                 }
                 ms.set_visited(y);
-                ms.parent_y[y as usize] = x;
+                ms.set_parent(y, x);
                 let xm = m.mate_of_y(y);
                 if xm == NONE {
                     found = Some(y);
@@ -183,11 +185,11 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
                 break;
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(frontier, next);
         next.clear();
     }
 
-    let outcome = match found {
+    match found {
         _ if over_budget => AugmentOutcome::BudgetExceeded {
             edges_traversed: traversed,
         },
@@ -197,10 +199,8 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
         Some(y_end) => {
             // Walk parents back to a (free) source, building the reversed
             // interleaved path, then flip it into augment's order.
-            let mut path = std::mem::take(&mut ms.path);
-            path.clear();
             path.push(y_end);
-            let mut x = ms.parent_y[y_end as usize];
+            let mut x = ms.parent_of(y_end);
             loop {
                 path.push(x);
                 let ym = m.mate_of_x(x);
@@ -208,21 +208,16 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
                     break;
                 }
                 path.push(ym);
-                x = ms.parent_y[ym as usize];
+                x = ms.parent_of(ym);
             }
             path.reverse();
-            m.augment(&path);
-            let path_len = path.len();
-            ms.path = path;
+            m.augment(path);
             AugmentOutcome::Augmented {
-                path_len,
+                path_len: path.len(),
                 edges_traversed: traversed,
             }
         }
-    };
-    ms.frontier = frontier;
-    ms.next = next;
-    outcome
+    }
 }
 
 /// BFS for an augmenting path from the single free `Y` vertex `y0`,
@@ -237,12 +232,14 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
     debug_assert!(!m.is_y_matched(y0), "source y must be free");
-    let ms = &mut ws.ms;
-    ms.begin_solve(g.nx(), g.ny());
-    let mut frontier = std::mem::take(&mut ms.frontier);
-    let mut next = std::mem::take(&mut ms.next);
-    frontier.clear();
-    next.clear();
+    ws.ms.begin_solve(g.nx(), g.ny());
+    let MsBuffers {
+        marks: ms,
+        frontier,
+        next,
+        path,
+        ..
+    } = &mut ws.ms;
     ms.set_visited(y0);
     frontier.push(y0);
 
@@ -250,7 +247,7 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
     let mut over_budget = false;
     let mut found: Option<VertexId> = None;
     while !frontier.is_empty() && found.is_none() && !over_budget {
-        for &y in &frontier {
+        for &y in frontier.iter() {
             g.for_each_y_neighbor(y, &mut |x| {
                 traversed += 1;
                 if traversed > budget {
@@ -278,11 +275,11 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
                 break;
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(frontier, next);
         next.clear();
     }
 
-    let outcome = match found {
+    match found {
         _ if over_budget => AugmentOutcome::BudgetExceeded {
             edges_traversed: traversed,
         },
@@ -292,8 +289,6 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
         Some(x_end) => {
             // The parent walk already yields augment's order: the free
             // `x` first, alternating back to the free `y0`.
-            let mut path = std::mem::take(&mut ms.path);
-            path.clear();
             path.push(x_end);
             let mut y = ms.root_of_x(x_end);
             loop {
@@ -305,18 +300,13 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
                 path.push(xm);
                 y = ms.root_of_x(xm);
             }
-            m.augment(&path);
-            let path_len = path.len();
-            ms.path = path;
+            m.augment(path);
             AugmentOutcome::Augmented {
-                path_len,
+                path_len: path.len(),
                 edges_traversed: traversed,
             }
         }
-    };
-    ms.frontier = frontier;
-    ms.next = next;
-    outcome
+    }
 }
 
 #[cfg(test)]

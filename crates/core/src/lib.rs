@@ -11,8 +11,8 @@
 //! | Pothen-Fan (fairness + lookahead) | [`pothen_fan`] / [`pothen_fan_parallel`] | serial / parallel multi-source DFS |
 //! | Hopcroft-Karp | [`hopcroft_karp`] | serial, `O(m√n)` oracle |
 //! | Push-relabel | [`push_relabel`] / [`push_relabel_parallel`] | serial / parallel |
-//! | MS-BFS (+ direction opt., + grafting) | [`ms_bfs_serial`] | serial engine with toggles |
-//! | **MS-BFS-Graft** | [`ms_bfs_graft_parallel`] | the paper's parallel contribution |
+//! | MS-BFS (+ direction opt., + grafting) | [`Algorithm::MsBfs`] / [`Algorithm::MsBfsDirOpt`] / [`Algorithm::MsBfsGraft`] | [`ms_bfs`] engine with toggles, serial |
+//! | **MS-BFS-Graft** | [`Algorithm::MsBfsGraftParallel`] | the same [`ms_bfs`] engine on a rayon pool — serial at width 1 |
 //!
 //! All solvers take a [`Matching`] as the starting point — typically the
 //! Karp-Sipser maximal matching ([`init::Initializer`]) as in the paper —
@@ -39,7 +39,6 @@ pub mod frontier;
 pub mod init;
 mod matching;
 pub mod ms_bfs;
-mod par;
 mod pothen_fan;
 mod pothen_fan_par;
 mod push_relabel;
@@ -76,12 +75,7 @@ pub use augment::{
 };
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use ms_bfs::{
-    ms_bfs_serial, ms_bfs_serial_traced, ms_bfs_serial_traced_in, MsBfsOptions, NowHook, PhaseHook,
-};
-pub use par::{
-    ms_bfs_graft_parallel, ms_bfs_graft_parallel_traced, ms_bfs_graft_parallel_traced_in,
-};
+pub use ms_bfs::{MsBfsOptions, NowHook, PhaseHook};
 pub use pothen_fan::{pothen_fan, pothen_fan_traced, pothen_fan_traced_in};
 pub use pothen_fan_par::pothen_fan_parallel;
 // Search internals for the graft-check model suite; invisible otherwise.
@@ -343,17 +337,14 @@ pub fn solve_from(
 fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsOptions> {
     match algorithm {
         Algorithm::MsBfs => Some(MsBfsOptions {
-            record_frontier: opts.ms_bfs.record_frontier,
-            deadline: opts.ms_bfs.deadline,
-            phase_hook: opts.ms_bfs.phase_hook,
-            ..MsBfsOptions::plain()
+            direction_optimizing: false,
+            grafting: false,
+            ..opts.ms_bfs
         }),
         Algorithm::MsBfsDirOpt => Some(MsBfsOptions {
-            record_frontier: opts.ms_bfs.record_frontier,
-            alpha: opts.ms_bfs.alpha,
-            deadline: opts.ms_bfs.deadline,
-            phase_hook: opts.ms_bfs.phase_hook,
-            ..MsBfsOptions::dir_opt_only()
+            direction_optimizing: true,
+            grafting: false,
+            ..opts.ms_bfs
         }),
         Algorithm::MsBfsGraft | Algorithm::MsBfsGraftParallel => Some(opts.ms_bfs),
         _ => None,
@@ -412,16 +403,12 @@ pub fn solve_from_traced_in(
         Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0, opts.threads),
         Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
         Algorithm::MsBfs | Algorithm::MsBfsDirOpt | Algorithm::MsBfsGraft => {
-            ms_bfs_serial_traced_in(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
+            ms_bfs::solve_in(g, m0, &ms_opts.expect("MS algorithm"), 1, tracer, ws)
         }
-        Algorithm::MsBfsGraftParallel => ms_bfs_graft_parallel_traced_in(
-            g,
-            m0,
-            &ms_opts.expect("MS algorithm"),
-            opts.threads,
-            tracer,
-            ws,
-        ),
+        Algorithm::MsBfsGraftParallel => {
+            let ms_opts = ms_opts.expect("MS algorithm");
+            ms_bfs::solve_in(g, m0, &ms_opts, opts.threads, tracer, ws)
+        }
         Algorithm::PushRelabel => push_relabel_traced_in(g, m0, &opts.push_relabel, tracer, ws),
         Algorithm::PushRelabelParallel => push_relabel_parallel(
             g,
@@ -494,6 +481,39 @@ mod tests {
     fn parallel_flags() {
         assert!(Algorithm::MsBfsGraftParallel.is_parallel());
         assert!(!Algorithm::MsBfsGraft.is_parallel());
+    }
+
+    #[test]
+    fn every_ms_bfs_configuration_keeps_the_callers_clock_and_recording() {
+        // A frozen virtual clock that never reaches the deadline, while
+        // the wall clock is already past it: a configuration that drops
+        // `now_hook` would time out before its first phase.
+        static FROZEN: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+        let deadline = std::time::Instant::now();
+        FROZEN.get_or_init(|| deadline - std::time::Duration::from_secs(1));
+        let g = BipartiteCsr::from_edges(3, 3, &[(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]);
+        let opts = SolveOptions {
+            initializer: init::Initializer::None,
+            threads: 1,
+            ms_bfs: MsBfsOptions {
+                deadline: Some(deadline),
+                now_hook: Some(NowHook(&|| *FROZEN.get().expect("set above"))),
+                record_phases: true,
+                ..MsBfsOptions::default()
+            },
+            ..SolveOptions::default()
+        };
+        for alg in Algorithm::ALL.into_iter().filter(|a| a.supports_deadline()) {
+            let out = solve(&g, alg, &opts);
+            assert!(!out.stats.timed_out, "{}: read the wall clock", alg.name());
+            assert_eq!(out.matching.cardinality(), 3, "{}", alg.name());
+            assert_eq!(
+                out.stats.phase_traces.len(),
+                out.stats.phases as usize,
+                "{}: dropped record_phases",
+                alg.name()
+            );
+        }
     }
 
     #[test]

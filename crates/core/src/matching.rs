@@ -42,6 +42,21 @@ impl Matching {
         Self::try_from_mates(mate_x, mate_y).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// [`Matching::from_mates`] for arrays consistent by construction and
+    /// of known size: the engines' hot path skips the O(n) check.
+    pub(crate) fn from_mates_unchecked(
+        mate_x: Vec<VertexId>,
+        mate_y: Vec<VertexId>,
+        cardinality: usize,
+    ) -> Self {
+        debug_assert_eq!(cardinality, mate_x.iter().filter(|&&y| y != NONE).count());
+        Self {
+            mate_x,
+            mate_y,
+            cardinality,
+        }
+    }
+
     /// Fallible variant of [`Matching::from_mates`] for untrusted input.
     pub fn try_from_mates(mate_x: Vec<VertexId>, mate_y: Vec<VertexId>) -> Result<Self, String> {
         let mut cardinality = 0;

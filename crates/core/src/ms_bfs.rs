@@ -1,5 +1,5 @@
-//! The serial MS-BFS engine with direction-optimizing BFS and tree
-//! grafting (Algorithms 3–7 of the paper).
+//! The MS-BFS engine with direction-optimizing BFS and tree grafting
+//! (Algorithms 3–7 of the paper), written once for every thread count.
 //!
 //! One engine implements three of the paper's algorithms through the
 //! [`MsBfsOptions`] toggles, which is exactly the ablation axis of Fig. 7:
@@ -9,6 +9,23 @@
 //! | `direction_optimizing = false, grafting = false` | MS-BFS |
 //! | `direction_optimizing = true, grafting = false` | MS-BFS + direction optimization |
 //! | `direction_optimizing = true, grafting = true` | **MS-BFS-Graft** |
+//!
+//! ## Execution strategies
+//!
+//! The phase loop, the α rule, visit, augment and the graft-or-rebuild
+//! decision are generic over a small `Exec` trait that says how one
+//! sweep over vertices runs. Both implementations are monomorphized:
+//!
+//! * `Seq` — plain loops on the calling thread, appending straight into
+//!   the workspace's frontier vectors; the visited claim is
+//!   load-compare-store. A warm solve performs no heap allocation.
+//! * `Pool` — rayon sweeps over the installed pool; the visited claim is
+//!   a `compare_exchange`.
+//!
+//! `ms-bfs`, `ms-bfs-do` and `ms-bfs-graft` run `Seq`. `ms-bfs-graft-par`
+//! runs `Seq` too whenever its effective width is 1 (`threads = 1`, or
+//! `threads = 0` under an ambient pool of one), and `Pool` otherwise — so
+//! at width 1 the parallel algorithm *is* the serial engine.
 //!
 //! ## Phase anatomy (Algorithm 3)
 //!
@@ -33,13 +50,50 @@
 //!
 //! Matched `X` vertices are only ever reached through their unique mate,
 //! so they need neither a visited flag nor a parent pointer.
+//!
+//! ## Parallel structure
+//!
+//! The `Pool` strategy maps the paper's OpenMP implementation onto rayon:
+//!
+//! * **Private queues → fold/reduce.** The paper gives each thread a small
+//!   private queue that spills into a shared global queue (the Graph500
+//!   `omp-csr` scheme). Rayon's `fold` creates exactly that: a per-task
+//!   local `Vec` filled lock-free, and `reduce` concatenates them into the
+//!   global next frontier — no hot-path locks.
+//! * **Vertex-disjoint trees → visited CAS.** A `Y` vertex joins exactly
+//!   one tree because discovery happens through a `compare_exchange` on its
+//!   visited flag. A cheap relaxed load screens out already-visited
+//!   vertices before attempting the CAS, mirroring the paper's
+//!   "check the flags before performing the atomic operations".
+//! * **Benign `leaf` race.** Threads finding augmenting paths in the same
+//!   tree all store to `leaf[root]`; the last write wins and exactly one
+//!   path per tree is augmented. Free endpoints whose record was
+//!   overwritten are recycled by the renewable-tree reset, so no matching
+//!   opportunity is lost (the sequential strategy has the same overwrite
+//!   semantics).
+//! * **Bottom-up needs no atomics.** Each unvisited `Y` vertex is owned by
+//!   one task, which is the only writer of its flags (§III-B).
+//! * **Parallel augmentation.** Augmenting paths live in distinct trees and
+//!   are therefore vertex-disjoint; each is flipped by one task.
+//!
+//! Memory ordering: claims use `AcqRel` CAS; all other pointer stores are
+//! `Relaxed` and become visible to the next level / step through the
+//! happens-before edges of the rayon joins that end every parallel region
+//! (the level-synchronous barrier the paper relies on). Since the shim
+//! gained a real work-stealing pool these joins are genuine cross-thread
+//! barriers: every batch ends with the submitting thread acquiring a latch
+//! mutex that each worker released after finishing its piece, so all
+//! `Relaxed` stores from a level are ordered before every read in the next
+//! level. The engine code needed no changes to run multithreaded; see
+//! DESIGN.md §17 for the full argument.
 
-use crate::ss::reconstruct_into;
-use crate::stats::{SearchStats, Step};
+use crate::stats::{PhaseTrace, SearchStats, Step};
 use crate::trace::{TraceEvent, Tracer};
-use crate::workspace::{MsBuffers, SolveWorkspace};
+use crate::workspace::{Marks, MsBuffers, SolveWorkspace};
 use crate::{Matching, RunOutcome};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// A cooperative phase-boundary observer, invoked at the same point the
@@ -165,59 +219,197 @@ impl MsBfsOptions {
     }
 }
 
-struct Engine<'a> {
-    g: &'a BipartiteCsr,
-    m: Matching,
-    opts: MsBfsOptions,
-    /// Per-vertex buffers, borrowed from the caller's workspace. The
-    /// epoch was already advanced by `begin_solve`, so every mark from
-    /// earlier solves reads as unvisited/NONE without any O(n) clear
-    /// (see [`crate::SolveWorkspace`]). The unvisited-`Y` cache lives
-    /// here too: exact when `unvisited_valid`, rebuilt from a full scan
-    /// after a graft/destroy reset invalidates it, and filtered
-    /// incrementally between bottom-up levels of one phase so repeated
-    /// levels do not rescan all of `Y`.
-    ws: &'a mut MsBuffers,
-    num_unvisited_y: usize,
-    stats: SearchStats,
-    tracer: Tracer,
+/// The running totals of one sweep that grows the forest: the next
+/// frontier, the newly visited `Y` vertices and the edges traversed.
+/// `Pool` keeps one per task — the paper's private queue — and merges
+/// them; `Seq` keeps one that owns the workspace's `next` vector.
+#[derive(Default)]
+struct Level {
+    next: Vec<VertexId>,
+    visited: u64,
+    edges: u64,
 }
 
-/// Maximum matching by the serial MS-BFS engine configured by `opts`.
-///
-/// ```
-/// use graft_core::{ms_bfs_serial, Matching, MsBfsOptions};
-/// use graft_graph::BipartiteCsr;
-///
-/// let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-/// let out = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
-/// assert_eq!(out.matching.cardinality(), 2);
-/// assert!(out.stats.phases >= 1);
-/// ```
-pub fn ms_bfs_serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
-    ms_bfs_serial_traced(g, m, opts, &Tracer::disabled())
+impl Level {
+    fn merge(mut a: Level, mut b: Level) -> Level {
+        // Append the smaller into the larger to keep the reduction linear.
+        if a.next.len() < b.next.len() {
+            std::mem::swap(&mut a.next, &mut b.next);
+        }
+        a.next.append(&mut b.next);
+        a.visited += b.visited;
+        a.edges += b.edges;
+        a
+    }
 }
 
-/// [`ms_bfs_serial`] with a [`Tracer`] observing every level, phase, and
-/// graft decision. Event closures only read engine state; a disabled
-/// tracer makes this identical to `ms_bfs_serial` (pinned by
+/// How the engine's sweeps over vertices execute (see the module docs).
+trait Exec {
+    /// Claims the `Y` vertex whose visited slot is `slot` for the caller:
+    /// `false` if it was already visited in `epoch`.
+    fn claim(slot: &AtomicU32, epoch: u32) -> bool;
+    /// Runs `step` on every item, collecting the next frontier into `out`
+    /// (cleared first). Returns `(newly visited, edges traversed)`.
+    fn expand(
+        items: &[VertexId],
+        out: &mut Vec<VertexId>,
+        step: impl Fn(VertexId, &mut Level) + Sync,
+    ) -> (u64, u64);
+    /// Replaces `out` with the vertices of `0..n` that satisfy `keep`.
+    fn filter(n: usize, out: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync);
+    /// Keeps the items of `list` that satisfy `keep`.
+    fn retain(list: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync);
+    /// Calls `f` on every vertex of `0..n`.
+    fn for_range(n: usize, f: impl Fn(VertexId) + Sync);
+    /// Sums the pairs `f` returns over `0..n`.
+    fn sum(n: usize, f: impl Fn(VertexId) -> (u64, u64) + Sync) -> (u64, u64);
+}
+
+fn add(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
+    (a.0 + b.0, a.1 + b.1)
+}
+
+/// Plain loops on the calling thread, in vertex order.
+struct Seq;
+
+impl Exec for Seq {
+    #[inline]
+    fn claim(slot: &AtomicU32, epoch: u32) -> bool {
+        let fresh = slot.load(Ordering::Relaxed) != epoch;
+        if fresh {
+            slot.store(epoch, Ordering::Relaxed);
+        }
+        fresh
+    }
+
+    fn expand(
+        items: &[VertexId],
+        out: &mut Vec<VertexId>,
+        step: impl Fn(VertexId, &mut Level) + Sync,
+    ) -> (u64, u64) {
+        out.clear();
+        let mut acc = Level {
+            next: std::mem::take(out),
+            ..Level::default()
+        };
+        for &v in items {
+            step(v, &mut acc);
+        }
+        *out = acc.next;
+        (acc.visited, acc.edges)
+    }
+
+    fn filter(n: usize, out: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        out.clear();
+        out.extend((0..n as VertexId).filter(|&v| keep(v)));
+    }
+
+    fn retain(list: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        list.retain(|&v| keep(v));
+    }
+
+    fn for_range(n: usize, f: impl Fn(VertexId) + Sync) {
+        (0..n as VertexId).for_each(f);
+    }
+
+    fn sum(n: usize, f: impl Fn(VertexId) -> (u64, u64) + Sync) -> (u64, u64) {
+        (0..n as VertexId).map(f).fold((0, 0), add)
+    }
+}
+
+/// Rayon sweeps on the current pool. Results land in the workspace
+/// vectors by copy, so their reserved capacity survives for later
+/// `Seq` solves on the same workspace.
+struct Pool;
+
+impl Exec for Pool {
+    #[inline]
+    fn claim(slot: &AtomicU32, epoch: u32) -> bool {
+        // Screen with a relaxed load before the CAS. The observed stale
+        // value (0 or an old epoch) is the CAS expectation: a lost race
+        // means another task already wrote the current epoch.
+        let cur = slot.load(Ordering::Relaxed);
+        cur != epoch
+            && slot
+                .compare_exchange(cur, epoch, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+    }
+
+    fn expand(
+        items: &[VertexId],
+        out: &mut Vec<VertexId>,
+        step: impl Fn(VertexId, &mut Level) + Sync,
+    ) -> (u64, u64) {
+        let acc = items
+            .par_iter()
+            .fold(Level::default, |mut acc, &v| {
+                step(v, &mut acc);
+                acc
+            })
+            .reduce(Level::default, Level::merge);
+        out.clear();
+        out.extend_from_slice(&acc.next);
+        (acc.visited, acc.edges)
+    }
+
+    fn filter(n: usize, out: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        let kept: Vec<VertexId> = (0..n as VertexId)
+            .into_par_iter()
+            .filter(|&v| keep(v))
+            .collect();
+        out.clear();
+        out.extend_from_slice(&kept);
+    }
+
+    fn retain(list: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        let kept: Vec<VertexId> = list.par_iter().filter(|&&v| keep(v)).map(|&v| v).collect();
+        list.clear();
+        list.extend_from_slice(&kept);
+    }
+
+    fn for_range(n: usize, f: impl Fn(VertexId) + Sync) {
+        (0..n as VertexId).into_par_iter().for_each(&f);
+    }
+
+    fn sum(n: usize, f: impl Fn(VertexId) -> (u64, u64) + Sync) -> (u64, u64) {
+        (0..n as VertexId)
+            .into_par_iter()
+            .map(&f)
+            .reduce(|| (0, 0), add)
+    }
+}
+
+/// Maximum matching by the MS-BFS engine configured by `opts`, from `m`,
+/// at `threads` (`0` = the ambient rayon pool). Width 1 runs the `Seq`
+/// strategy, wider runs `Pool` (in a pool of its own when `threads ≥ 2`).
+///
+/// The per-vertex marks live in `ws` and are recycled across solves under
+/// the epoch scheme; a warm `Seq` solve allocates nothing (pinned by
+/// `tests/workspace_alloc.rs`) and every solve is identical to a
+/// fresh-workspace one (pinned by `tests/workspace_reuse.rs`). Event
+/// closures only read engine state, and all are emitted from the driving
+/// thread between sweeps, so a disabled tracer changes nothing (pinned by
 /// `tests/trace_noninterference.rs`).
-pub fn ms_bfs_serial_traced(
+pub(crate) fn solve_in(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
+    threads: usize,
     tracer: &Tracer,
+    ws: &mut SolveWorkspace,
 ) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    ms_bfs_serial_traced_in(g, m, opts, tracer, &mut ws)
+    match threads {
+        0 if rayon::current_num_threads() > 1 => run::<Pool>(g, m, opts, tracer, ws),
+        0 | 1 => run::<Seq>(g, m, opts, tracer, ws),
+        _ => rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("failed to build rayon pool")
+            .install(|| run::<Pool>(g, m, opts, tracer, ws)),
+    }
 }
 
-/// [`ms_bfs_serial_traced`] solving in a caller-provided
-/// [`SolveWorkspace`]: on a warm workspace the engine performs no heap
-/// allocation at all (pinned by `tests/workspace_alloc.rs`), and the
-/// result is identical to a fresh-workspace solve (pinned by
-/// `tests/workspace_reuse.rs`).
-pub fn ms_bfs_serial_traced_in(
+fn run<E: Exec>(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
@@ -225,136 +417,271 @@ pub fn ms_bfs_serial_traced_in(
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
     let start = Instant::now();
+    let initial_cardinality = m.cardinality();
     ws.ms.begin_solve(g.num_x(), g.num_y());
+    let MsBuffers {
+        marks,
+        frontier,
+        next,
+        unvisited,
+        renewable,
+        ..
+    } = &mut ws.ms;
+    // The engine works on the arena's atomic mate slots; the input's
+    // vectors carry the result back out, so the warm path allocates no
+    // fresh matching.
+    let (mut mx, mut my) = m.into_mates();
+    for (a, &v) in marks.mate_x.iter().zip(&mx) {
+        a.store(v, Ordering::Relaxed);
+    }
+    for (a, &v) in marks.mate_y.iter().zip(&my) {
+        a.store(v, Ordering::Relaxed);
+    }
     let mut e = Engine {
-        g,
+        f: Forest { g, m: marks },
+        opts,
+        tracer,
         stats: SearchStats {
-            initial_cardinality: m.cardinality(),
+            initial_cardinality,
             ..Default::default()
         },
-        m,
-        opts: *opts,
-        ws: &mut ws.ms,
         num_unvisited_y: g.num_y(),
-        tracer: tracer.clone(),
+        unvisited_valid: false,
+        frontier,
+        next,
+        unvisited,
+        renewable,
     };
-    e.run();
-    let Engine { m, mut stats, .. } = e;
-    stats.final_cardinality = m.cardinality();
+    e.run::<E>();
+    let mut stats = e.stats;
+    for (v, a) in mx.iter_mut().zip(&marks.mate_x) {
+        *v = a.load(Ordering::Relaxed);
+    }
+    for (v, a) in my.iter_mut().zip(&marks.mate_y) {
+        *v = a.load(Ordering::Relaxed);
+    }
+    let cardinality = initial_cardinality + stats.augmenting_paths as usize;
+    let matching = Matching::from_mates_unchecked(mx, my, cardinality);
+    stats.final_cardinality = cardinality;
     stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
+    RunOutcome { matching, stats }
+}
+
+/// What every task of a sweep shares: the graph and the per-vertex marks.
+#[derive(Clone, Copy)]
+struct Forest<'a> {
+    g: &'a BipartiteCsr,
+    m: &'a Marks,
+}
+
+impl Forest<'_> {
+    /// `x` is in an active tree (root known and not yet renewable).
+    #[inline]
+    fn x_is_active(self, x: VertexId) -> bool {
+        let root = self.m.root_of_x(x);
+        root != NONE && self.m.leaf_of(root) == NONE
+    }
+
+    /// Makes the unmatched `x` the root of a new tree; `false` (and no
+    /// change) when `x` is matched.
+    #[inline]
+    fn root_if_free(self, x: VertexId) -> bool {
+        let free = self.m.mate_of_x(x) == NONE;
+        if free {
+            self.m.set_root_x(x, x);
+        }
+        free
+    }
+
+    /// Algorithm 4 for one frontier vertex: claim its unvisited neighbors.
+    #[inline]
+    fn top_down<E: Exec>(self, x: VertexId, acc: &mut Level) {
+        // The tree may have turned renewable earlier this level.
+        if !self.x_is_active(x) {
+            return;
+        }
+        for &y in self.g.x_neighbors(x) {
+            acc.edges += 1;
+            if E::claim(&self.m.visited[y as usize], self.m.epoch) {
+                self.visit(y, x, acc);
+            }
+        }
+    }
+
+    /// Algorithm 6 for one candidate: scans the neighbors of the unvisited
+    /// vertex `y` for a member of an active tree; on success `y` (and its
+    /// mate) join that tree. Each candidate is owned by one task, so its
+    /// visited flag needs no claim.
+    #[inline]
+    fn adopt(self, y: VertexId, acc: &mut Level) {
+        for &x in self.g.y_neighbors(y) {
+            acc.edges += 1;
+            if self.x_is_active(x) {
+                self.m.set_visited(y);
+                self.visit(y, x, acc);
+                return; // stop exploring y's neighbors (Algorithm 6 line 7)
+            }
+        }
+    }
+
+    /// Algorithm 5: record the claimed `y`'s discovery from `x`, extending
+    /// the tree.
+    #[inline]
+    fn visit(self, y: VertexId, x: VertexId, acc: &mut Level) {
+        let root = self.m.root_of_x(x);
+        self.m.set_parent(y, x);
+        self.m.root_y[y as usize].store(root, Ordering::Relaxed);
+        acc.visited += 1;
+        let mate = self.m.mate_of_y(y);
+        if mate != NONE {
+            self.m.set_root_x(mate, root);
+            acc.next.push(mate);
+        } else {
+            // Augmenting path found: mark T(root) renewable. Later finds in
+            // the same tree overwrite — one path per tree survives (a
+            // benign last-writer-wins race under `Pool`).
+            self.m.set_leaf(root, y);
+        }
+    }
+
+    /// Flips the augmenting path of the renewable tree rooted at `x0`,
+    /// returning `(1, path length in edges)`, or `(0, 0)` when `x0` is not
+    /// the unmatched root of a renewable tree. Paths of distinct trees are
+    /// vertex-disjoint, so concurrent flips never touch the same slots.
+    #[inline]
+    fn augment(self, x0: VertexId) -> (u64, u64) {
+        let m = self.m;
+        let leaf = m.leaf_of(x0);
+        if leaf == NONE || m.mate_of_x(x0) != NONE || m.root_of_x(x0) != x0 {
+            return (0, 0);
+        }
+        let mut edges = 0u64;
+        let mut y = leaf;
+        loop {
+            let x = m.parent_of(y);
+            let next_y = m.mate_of_x(x);
+            m.mate_y[y as usize].store(x, Ordering::Relaxed);
+            m.mate_x[x as usize].store(y, Ordering::Relaxed);
+            edges += 1;
+            if x == x0 {
+                break;
+            }
+            y = next_y;
+            edges += 1;
+        }
+        (1, edges)
+    }
+}
+
+struct Engine<'a> {
+    f: Forest<'a>,
+    opts: &'a MsBfsOptions,
+    tracer: &'a Tracer,
+    stats: SearchStats,
+    num_unvisited_y: usize,
+    /// When set, `unvisited` holds every unvisited `Y` vertex (and maybe
+    /// some visited since): each bottom-up level filters it rather than
+    /// rescanning all of `Y`. A graft/destroy reset un-visits vertices and
+    /// clears the flag, so the next bottom-up level rebuilds the list from
+    /// a full scan.
+    unvisited_valid: bool,
+    frontier: &'a mut Vec<VertexId>,
+    next: &'a mut Vec<VertexId>,
+    unvisited: &'a mut Vec<VertexId>,
+    renewable: &'a mut Vec<VertexId>,
 }
 
 impl Engine<'_> {
-    fn run(&mut self) {
-        // The frontier ping-pong buffers are taken out of the workspace
-        // for the whole run (the borrow checker cannot see that the
-        // engine never touches them through `self.ws`), and returned at
-        // the end so their capacity survives into the next solve.
-        let mut frontier = std::mem::take(&mut self.ws.frontier);
-        let mut next = std::mem::take(&mut self.ws.next);
+    fn run<E: Exec>(&mut self) {
+        let f = self.f;
         // Initial frontier: all unmatched X vertices become roots.
-        frontier.extend(self.m.unmatched_x());
-        for &x in &frontier {
-            self.ws.set_root_x(x, x);
-        }
+        E::filter(f.g.num_x(), self.frontier, |x| f.root_if_free(x));
 
         loop {
-            if let Some(deadline) = self.opts.deadline {
-                let now = match self.opts.now_hook {
-                    Some(h) => h.now(),
-                    None => Instant::now(),
-                };
-                if now >= deadline {
-                    self.stats.timed_out = true;
-                    break;
-                }
+            let now = || self.opts.now_hook.map_or_else(Instant::now, |h| h.now());
+            if self.opts.deadline.is_some_and(|deadline| now() >= deadline) {
+                self.stats.timed_out = true;
+                break;
             }
             if let Some(hook) = self.opts.phase_hook {
                 hook.call(self.stats.phases);
             }
             self.stats.phases += 1;
             let phase = self.stats.phases;
-            let mut trace = crate::stats::PhaseTrace {
+            let mut trace = PhaseTrace {
                 phase,
                 ..Default::default()
             };
             let edges_at_start = self.stats.edges_traversed;
-            let path_edges_at_start = self.stats.total_augmenting_path_edges;
             // Phase stopwatch exists only while tracing: the untraced hot
             // path must not pay for a clock read per phase.
             let phase_t0 = self.tracer.is_enabled().then(Instant::now);
 
             // ---- Step 1: grow the alternating BFS forest. ----
             let mut level: u32 = 0;
-            while !frontier.is_empty() {
+            while !self.frontier.is_empty() {
+                let width = self.frontier.len();
                 let bottom_up = self.opts.direction_optimizing
-                    && (frontier.len() as f64) >= self.num_unvisited_y as f64 / self.opts.alpha;
+                    && (width as f64) >= self.num_unvisited_y as f64 / self.opts.alpha;
                 if self.opts.record_frontier {
-                    self.stats
-                        .record_frontier(phase, level, frontier.len(), bottom_up);
+                    self.stats.record_frontier(phase, level, width, bottom_up);
                 }
                 self.tracer.emit(|| TraceEvent::Level {
                     phase: u64::from(phase),
                     level: u64::from(level),
-                    frontier: frontier.len() as u64,
+                    frontier: width as u64,
                     unvisited_y: self.num_unvisited_y as u64,
                     bottom_up,
                 });
-                trace.frontier_peak = trace.frontier_peak.max(frontier.len());
+                trace.frontier_peak = trace.frontier_peak.max(width);
                 trace.bottom_up_levels += u32::from(bottom_up);
                 let t0 = Instant::now();
-                next.clear();
+                let (visited, edges) = if bottom_up {
+                    self.bottom_up_level::<E>()
+                } else {
+                    E::expand(self.frontier, self.next, |x, acc| f.top_down::<E>(x, acc))
+                };
                 let step = if bottom_up {
-                    self.bottom_up_level(&mut next);
                     Step::BottomUp
                 } else {
-                    self.top_down_level(&frontier, &mut next);
                     Step::TopDown
                 };
                 self.stats.breakdown.add(step, t0.elapsed());
-                std::mem::swap(&mut frontier, &mut next);
+                self.num_unvisited_y -= visited as usize;
+                self.stats.edges_traversed += edges;
+                std::mem::swap(self.frontier, self.next);
                 level += 1;
             }
             trace.levels = level;
 
             // ---- Step 2: augment along one path per renewable tree. ----
             let t0 = Instant::now();
-            let augmented = self.augment_all();
+            let (augmented, path_edges) = E::sum(f.g.num_x(), |x0| f.augment(x0));
             self.stats.breakdown.add(Step::Augment, t0.elapsed());
+            self.stats.augmenting_paths += augmented;
+            self.stats.total_augmenting_path_edges += path_edges;
             trace.augmenting_paths = augmented;
-            trace.path_edges = self.stats.total_augmenting_path_edges - path_edges_at_start;
+            trace.path_edges = path_edges;
             if augmented == 0 {
                 trace.edges_traversed = self.stats.edges_traversed - edges_at_start;
-                self.emit_phase_end(&trace, phase_t0);
-                if self.opts.record_phases {
-                    self.stats.phase_traces.push(trace);
-                }
+                self.end_phase(trace, phase_t0);
                 break; // no augmenting path in this phase: maximum reached
             }
 
             // ---- Step 3: rebuild the frontier (Algorithm 7). ----
-            let (active_x, renewable_y, grafted) = self.rebuild_frontier(&mut frontier);
+            let (active_x, renewable_y, grafted) = self.rebuild_frontier::<E>();
             trace.active_x = active_x;
             trace.renewable_y = renewable_y;
             trace.grafted = grafted;
             trace.edges_traversed = self.stats.edges_traversed - edges_at_start;
-            self.emit_phase_end(&trace, phase_t0);
-            self.tracer.emit(|| TraceEvent::Graft {
-                phase: u64::from(phase),
-                active_x: active_x as u64,
-                renewable_y: renewable_y as u64,
-                grafted,
-            });
-            if self.opts.record_phases {
-                self.stats.phase_traces.push(trace);
-            }
+            self.end_phase(trace, phase_t0);
         }
-        self.ws.frontier = frontier;
-        self.ws.next = next;
     }
 
-    fn emit_phase_end(&self, trace: &crate::stats::PhaseTrace, phase_t0: Option<Instant>) {
+    /// Emits the phase's trace events and records its summary when asked
+    /// to. A phase that augmented nothing ends the solve without a
+    /// rebuild, so it has no `Graft` event.
+    fn end_phase(&mut self, trace: PhaseTrace, phase_t0: Option<Instant>) {
         self.tracer.emit(|| TraceEvent::PhaseEnd {
             phase: u64::from(trace.phase),
             levels: u64::from(trace.levels),
@@ -365,124 +692,52 @@ impl Engine<'_> {
             edges_traversed: trace.edges_traversed,
             elapsed_us: phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
         });
-    }
-
-    /// Algorithm 4: expand the frontier top-down into `next`.
-    fn top_down_level(&mut self, frontier: &[VertexId], next: &mut Vec<VertexId>) {
-        let g = self.g;
-        for &x in frontier {
-            // The tree may have turned renewable earlier this level.
-            let root = self.ws.root_of_x(x);
-            if self.ws.leaf_of(root) != NONE {
-                continue;
-            }
-            for &y in g.x_neighbors(x) {
-                self.stats.edges_traversed += 1;
-                if !self.ws.is_visited(y) {
-                    self.visit(y, x, next);
-                }
-            }
+        if trace.augmenting_paths > 0 {
+            self.tracer.emit(|| TraceEvent::Graft {
+                phase: u64::from(trace.phase),
+                active_x: trace.active_x as u64,
+                renewable_y: trace.renewable_y as u64,
+                grafted: trace.grafted,
+            });
+        }
+        if self.opts.record_phases {
+            self.stats.phase_traces.push(trace);
         }
     }
 
-    /// Algorithm 6: expand bottom-up over the unvisited `Y` vertices.
-    fn bottom_up_level(&mut self, next: &mut Vec<VertexId>) {
-        let mut candidates = std::mem::take(&mut self.ws.unvisited);
-        if self.ws.unvisited_valid {
-            candidates.retain(|&y| !self.ws.is_visited(y));
+    /// Algorithm 6: one bottom-up level over the unvisited `Y` vertices.
+    fn bottom_up_level<E: Exec>(&mut self) -> (u64, u64) {
+        let f = self.f;
+        let unvisited = |y: VertexId| !f.m.is_visited(y);
+        if self.unvisited_valid {
+            E::retain(self.unvisited, unvisited);
         } else {
-            candidates.clear();
-            candidates.extend((0..self.g.num_y() as VertexId).filter(|&y| !self.ws.is_visited(y)));
+            E::filter(f.g.num_y(), self.unvisited, unvisited);
         }
-        // Indexed loop: `adopt_into_active` needs `&mut self` while the
-        // candidate list is iterated.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..candidates.len() {
-            let y = candidates[i];
-            self.adopt_into_active(y, next);
-        }
-        candidates.retain(|&y| !self.ws.is_visited(y));
-        self.ws.unvisited = candidates;
-        self.ws.unvisited_valid = true;
+        // Vertices adopted by this level stay in the list: the next
+        // bottom-up level of the phase filters it before use.
+        self.unvisited_valid = true;
+        E::expand(self.unvisited, self.next, |y, acc| f.adopt(y, acc))
     }
 
-    /// Scans the neighbors of the unvisited vertex `y` for a member of an
-    /// active tree; on success `y` (and its mate) join that tree.
-    fn adopt_into_active(&mut self, y: VertexId, next: &mut Vec<VertexId>) {
-        let g = self.g;
-        for &x in g.y_neighbors(y) {
-            self.stats.edges_traversed += 1;
-            let root = self.ws.root_of_x(x);
-            if root != NONE && self.ws.leaf_of(root) == NONE {
-                self.visit(y, x, next);
-                return; // stop exploring y's neighbors (Algorithm 6 line 7)
-            }
-        }
-    }
-
-    /// Algorithm 5: record `y`'s discovery from `x`, extending the tree.
-    fn visit(&mut self, y: VertexId, x: VertexId, next: &mut Vec<VertexId>) {
-        debug_assert!(!self.ws.is_visited(y));
-        self.ws.set_visited(y);
-        self.num_unvisited_y -= 1;
-        self.ws.parent_y[y as usize] = x;
-        let root = self.ws.root_of_x(x);
-        self.ws.root_y[y as usize] = root;
-        let mate = self.m.mate_of_y(y);
-        if mate != NONE {
-            self.ws.set_root_x(mate, root);
-            next.push(mate);
-        } else {
-            // Augmenting path found: mark T(root) renewable. Later finds in
-            // the same tree overwrite — one path per tree survives.
-            self.ws.set_leaf(root, y);
-        }
-    }
-
-    /// Step 2: augment every renewable tree; returns the number of paths.
-    fn augment_all(&mut self) -> u64 {
-        let mut count = 0u64;
-        let mut path = std::mem::take(&mut self.ws.path);
-        for x0 in 0..self.g.num_x() as VertexId {
-            let leaf = self.ws.leaf_of(x0);
-            if self.m.is_x_matched(x0) || self.ws.root_of_x(x0) != x0 || leaf == NONE {
-                continue;
-            }
-            reconstruct_into(&self.m, &self.ws.parent_y, leaf, &mut path);
-            debug_assert_eq!(path[0], x0);
-            self.stats.total_augmenting_path_edges += (path.len() - 1) as u64;
-            self.m.augment(&path);
-            count += 1;
-        }
-        self.ws.path = path;
-        self.stats.augmenting_paths += count;
-        count
-    }
-
-    /// Algorithm 7: construct the next phase's frontier (into `frontier`)
-    /// by tree grafting, or destroy the forest and restart from the
-    /// unmatched vertices. Returns `(|activeX|, |renewableY|, grafted)`.
-    fn rebuild_frontier(&mut self, frontier: &mut Vec<VertexId>) -> (usize, usize, bool) {
+    /// Algorithm 7: construct the next phase's frontier by tree grafting,
+    /// or destroy the forest and restart from the unmatched vertices.
+    /// Returns `(|activeX|, |renewableY|, grafted)`.
+    fn rebuild_frontier<E: Exec>(&mut self) -> (usize, usize, bool) {
+        let f = self.f;
+        let (nx, ny) = (f.g.num_x(), f.g.num_y());
         // -- Statistics driving the decision (timed separately: Fig. 6). --
         let t_stats = Instant::now();
-        let active_x = (0..self.g.num_x() as VertexId)
-            .filter(|&x| {
-                let r = self.ws.root_of_x(x);
-                r != NONE && self.ws.leaf_of(r) == NONE
-            })
-            .count();
-        let mut renewable_y = std::mem::take(&mut self.ws.renewable);
-        renewable_y.clear();
+        let active_x = E::sum(nx, |x| (u64::from(f.x_is_active(x)), 0)).0 as usize;
         // The visited check must come first: `root_y` is only meaningful
         // (and only guaranteed in-range after a graph change) for
         // vertices visited in the current epoch.
-        renewable_y.extend((0..self.g.num_y() as VertexId).filter(|&y| {
-            if !self.ws.is_visited(y) {
-                return false;
+        E::filter(ny, self.renewable, |y| {
+            f.m.is_visited(y) && {
+                let r = f.m.root_y[y as usize].load(Ordering::Relaxed);
+                r != NONE && f.m.leaf_of(r) != NONE
             }
-            let r = self.ws.root_y[y as usize];
-            r != NONE && self.ws.leaf_of(r) != NONE
-        }));
+        });
         self.stats
             .breakdown
             .add(Step::Statistics, t_stats.elapsed());
@@ -490,47 +745,32 @@ impl Engine<'_> {
         let t_graft = Instant::now();
         // Resets below un-visit vertices: the cached unvisited list is no
         // longer a superset and must be rebuilt at the next bottom-up.
-        self.ws.unvisited_valid = false;
-        // Reset the renewable Y vertices so they can be reused.
-        for &y in &renewable_y {
-            self.ws.unvisit(y);
-            self.num_unvisited_y += 1;
-            self.ws.root_y[y as usize] = NONE;
-            self.ws.parent_y[y as usize] = NONE;
-        }
-
-        let renewable_count = renewable_y.len();
+        // (They run between sweeps, never concurrently with claims.)
+        self.unvisited_valid = false;
+        let renewable_count = self.renewable.len();
         let graft_profitable =
             self.opts.grafting && active_x as f64 > renewable_count as f64 / self.opts.alpha;
-
-        frontier.clear();
         if graft_profitable {
-            // Tree grafting: bottom-up step restricted to the renewable Y
-            // vertices; any of them adjacent to an active tree is adopted
-            // and its mate becomes part of the new frontier.
-            for &y in &renewable_y {
-                self.adopt_into_active(y, frontier);
-            }
+            // Tree grafting: reset each renewable Y vertex for reuse, then
+            // run a bottom-up step on it; one adjacent to an active tree
+            // is adopted and its mate becomes part of the new frontier.
+            // Adoption reads only X-side marks, so resetting each vertex
+            // just before its own step equals resetting them all first.
+            let (visited, edges) = E::expand(self.renewable, self.frontier, |y, acc| {
+                f.m.unvisit(y);
+                f.adopt(y, acc);
+            });
+            self.num_unvisited_y = self.num_unvisited_y + renewable_count - visited as usize;
+            self.stats.edges_traversed += edges;
         } else {
             // Destroy everything and restart from the unmatched vertices.
-            for y in 0..self.g.num_y() as VertexId {
-                if self.ws.is_visited(y) {
-                    self.ws.unvisit(y);
-                    self.num_unvisited_y += 1;
-                    self.ws.root_y[y as usize] = NONE;
-                    self.ws.parent_y[y as usize] = NONE;
-                }
-            }
-            for x in 0..self.g.num_x() as VertexId {
-                self.ws.clear_root_x(x);
-                self.ws.clear_leaf(x);
-            }
-            frontier.extend(self.m.unmatched_x());
-            for &x in frontier.iter() {
-                self.ws.set_root_x(x, x);
-            }
+            E::for_range(ny, |y| f.m.unvisit(y));
+            self.num_unvisited_y = ny;
+            E::filter(nx, self.frontier, |x| {
+                f.m.clear_x(x);
+                f.root_if_free(x)
+            });
         }
-        self.ws.renewable = renewable_y;
         self.stats.breakdown.add(Step::Graft, t_graft.elapsed());
         (active_x, renewable_count, graft_profitable)
     }
@@ -540,6 +780,25 @@ impl Engine<'_> {
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+
+    /// Widths every behavioral test runs at: `Seq`, then `Pool` in pools
+    /// of two and four threads.
+    const WIDTHS: [usize; 3] = [1, 2, 4];
+
+    fn run_at(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions, threads: usize) -> RunOutcome {
+        solve_in(
+            g,
+            m,
+            opts,
+            threads,
+            &Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        )
+    }
+
+    fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
+        run_at(g, m, opts, 1)
+    }
 
     fn all_configs() -> [MsBfsOptions; 3] {
         [
@@ -572,6 +831,17 @@ mod tests {
         )
     }
 
+    fn chain(k: u32) -> BipartiteCsr {
+        let mut edges = Vec::new();
+        for i in 0..k {
+            edges.push((i, i));
+            if i > 0 {
+                edges.push((i, i - 1));
+            }
+        }
+        BipartiteCsr::from_edges(k as usize, k as usize, &edges)
+    }
+
     #[test]
     fn fig2_example_reaches_maximum() {
         let g = fig2_graph();
@@ -581,19 +851,30 @@ mod tests {
         m0.match_pair(2, 0);
         m0.match_pair(3, 3);
         m0.match_pair(4, 4);
-        for opts in all_configs() {
-            let out = ms_bfs_serial(&g, m0.clone(), &opts);
-            assert!(is_maximum(&g, &out.matching), "not maximum under {opts:?}");
-            assert_eq!(out.matching.cardinality(), 6);
+        for t in WIDTHS {
+            for opts in all_configs() {
+                let out = run_at(&g, m0.clone(), &opts, t);
+                assert!(is_maximum(&g, &out.matching), "not maximum under {opts:?}");
+                assert_eq!(out.matching.cardinality(), 6);
+            }
         }
     }
 
     #[test]
     fn all_configs_agree_on_hard_graphs() {
+        // A deficient graph: 80 X vertices compete for 8 Y vertices.
+        let mut deficient = Vec::new();
+        for x in 0..80u32 {
+            deficient.push((x, x % 5));
+            deficient.push((x, 5 + (x % 3)));
+        }
         let graphs = [
+            BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]),
             BipartiteCsr::from_edges(4, 2, &[(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]),
             BipartiteCsr::from_edges(1, 1, &[(0, 0)]),
             BipartiteCsr::from_edges(3, 3, &[]),
+            BipartiteCsr::from_edges(0, 5, &[]),
+            BipartiteCsr::from_edges(80, 8, &deficient),
             BipartiteCsr::from_edges(
                 5,
                 5,
@@ -615,32 +896,62 @@ mod tests {
             let oracle = crate::hopcroft_karp(g, Matching::for_graph(g))
                 .matching
                 .cardinality();
-            for opts in all_configs() {
-                let out = ms_bfs_serial(g, Matching::for_graph(g), &opts);
-                assert_eq!(out.matching.cardinality(), oracle, "config {opts:?}");
-                assert!(is_maximum(g, &out.matching));
+            for t in WIDTHS {
+                for opts in all_configs() {
+                    let out = run_at(g, Matching::for_graph(g), &opts, t);
+                    assert_eq!(out.matching.cardinality(), oracle, "{opts:?} t={t}");
+                    assert!(is_maximum(g, &out.matching));
+                }
             }
         }
     }
 
     #[test]
     fn long_chain_all_configs() {
+        // From the empty matching, from Karp-Sipser, and from the
+        // adversarial matching that leaves one augmenting path through
+        // the whole chain.
         let k = 80;
-        let mut edges = Vec::new();
-        for i in 0..k as VertexId {
-            edges.push((i, i));
-            if i > 0 {
-                edges.push((i, i - 1));
+        let g = chain(k as u32);
+        let mut adversarial = Matching::for_graph(&g);
+        for i in 1..k as VertexId {
+            adversarial.match_pair(i, i - 1);
+        }
+        let starts = [
+            Matching::for_graph(&g),
+            crate::init::Initializer::KarpSipser.run(&g, 42),
+            adversarial,
+        ];
+        for t in WIDTHS {
+            for m0 in &starts {
+                for opts in all_configs() {
+                    let out = run_at(&g, m0.clone(), &opts, t);
+                    assert_eq!(out.matching.cardinality(), k, "{opts:?} t={t}");
+                    assert!(is_maximum(&g, &out.matching));
+                }
             }
         }
-        let g = BipartiteCsr::from_edges(k, k, &edges);
-        let mut m0 = Matching::for_graph(&g);
-        for i in 1..k as VertexId {
-            m0.match_pair(i, i - 1);
+    }
+
+    #[test]
+    fn repeated_runs_keep_the_cardinality() {
+        // Scheduling nondeterminism must never change the result size.
+        let mut edges = Vec::new();
+        for x in 0..60u32 {
+            edges.push((x, (x * 7) % 40));
+            edges.push((x, (x * 13 + 5) % 40));
+            edges.push((x, (x * 3 + 11) % 40));
         }
-        for opts in all_configs() {
-            let out = ms_bfs_serial(&g, m0.clone(), &opts);
-            assert_eq!(out.matching.cardinality(), k, "config {opts:?}");
+        let g = BipartiteCsr::from_edges(60, 40, &edges);
+        let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
+            .matching
+            .cardinality();
+        for t in WIDTHS {
+            for _ in 0..5 {
+                let out = run_at(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), t);
+                assert_eq!(out.matching.cardinality(), oracle, "t={t}");
+                assert!(is_maximum(&g, &out.matching));
+            }
         }
     }
 
@@ -659,8 +970,8 @@ mod tests {
             edges.push((i, 17 + i));
         }
         let g = BipartiteCsr::from_edges(nx as usize, 27, &edges);
-        let plain = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::plain());
-        let graft = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
+        let plain = serial(&g, Matching::for_graph(&g), &MsBfsOptions::plain());
+        let graft = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
         assert_eq!(plain.matching.cardinality(), graft.matching.cardinality());
         assert!(
             graft.stats.edges_traversed <= plain.stats.edges_traversed,
@@ -672,14 +983,15 @@ mod tests {
 
     #[test]
     fn frontier_history_recorded() {
-        let g = fig2_graph();
         let opts = MsBfsOptions {
             record_frontier: true,
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
-        assert!(!out.stats.frontier_history.is_empty());
-        assert_eq!(out.stats.frontier_history[0].level, 0);
+        for (g, t) in [(fig2_graph(), 1), (chain(50), 2), (chain(50), 4)] {
+            let out = run_at(&g, Matching::for_graph(&g), &opts, t);
+            assert!(!out.stats.frontier_history.is_empty(), "t={t}");
+            assert_eq!(out.stats.frontier_history[0].level, 0);
+        }
     }
 
     #[test]
@@ -698,7 +1010,7 @@ mod tests {
             record_phases: true,
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, m0, &opts);
+        let out = serial(&g, m0, &opts);
         assert_eq!(out.matching.cardinality(), 6);
         let t = &out.stats.phase_traces;
         assert_eq!(t.len(), 2);
@@ -712,25 +1024,28 @@ mod tests {
     #[test]
     fn stats_consistency() {
         let g = fig2_graph();
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
-        assert_eq!(
-            out.stats.final_cardinality - out.stats.initial_cardinality,
-            out.stats.augmenting_paths as usize
-        );
-        assert!(out.stats.phases >= 1);
+        for t in WIDTHS {
+            let out = run_at(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), t);
+            assert_eq!(
+                out.stats.final_cardinality - out.stats.initial_cardinality,
+                out.stats.augmenting_paths as usize
+            );
+            assert!(out.stats.phases >= 1);
+        }
     }
 
     #[test]
     fn expired_deadline_stops_before_first_phase() {
-        let g = fig2_graph();
         let opts = MsBfsOptions {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
-        assert!(out.stats.timed_out);
-        assert_eq!(out.stats.phases, 0);
-        assert_eq!(out.matching.cardinality(), 0); // initial matching returned
+        for (g, t) in [(fig2_graph(), 1), (chain(30), 2), (chain(30), 4)] {
+            let out = run_at(&g, Matching::for_graph(&g), &opts, t);
+            assert!(out.stats.timed_out);
+            assert_eq!(out.stats.phases, 0);
+            assert_eq!(out.matching.cardinality(), 0); // initial matching returned
+        }
     }
 
     #[test]
@@ -740,14 +1055,14 @@ mod tests {
             deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
+        let out = serial(&g, Matching::for_graph(&g), &opts);
         assert!(!out.stats.timed_out);
         assert_eq!(out.matching.cardinality(), 6);
     }
 
     #[test]
     fn phase_hook_fires_once_per_phase() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::atomic::AtomicU32;
         static CALLS: AtomicU32 = AtomicU32::new(0);
         static LAST: AtomicU32 = AtomicU32::new(u32::MAX);
         let opts = MsBfsOptions {
@@ -758,7 +1073,7 @@ mod tests {
             ..MsBfsOptions::graft()
         };
         let g = fig2_graph();
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
+        let out = serial(&g, Matching::for_graph(&g), &opts);
         assert_eq!(out.matching.cardinality(), 6);
         assert_eq!(CALLS.load(Ordering::Relaxed), out.stats.phases);
         assert_eq!(LAST.load(Ordering::Relaxed), out.stats.phases - 1);
@@ -772,7 +1087,7 @@ mod tests {
         };
         let g = fig2_graph();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ms_bfs_serial(&g, Matching::for_graph(&g), &opts)
+            serial(&g, Matching::for_graph(&g), &opts)
         }));
         assert!(r.is_err());
     }
@@ -783,7 +1098,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(0, 0);
         m0.match_pair(1, 1);
-        let out = ms_bfs_serial(&g, m0, &MsBfsOptions::graft());
+        let out = serial(&g, m0, &MsBfsOptions::graft());
         assert_eq!(out.stats.phases, 1); // one phase discovers nothing
         assert_eq!(out.stats.augmenting_paths, 0);
         assert_eq!(out.matching.cardinality(), 2);

@@ -223,40 +223,6 @@ impl SearchStats {
     }
 }
 
-/// A scoped stopwatch accumulating into a [`Breakdown`] bucket.
-///
-/// ```
-/// use graft_core::stats::{Breakdown, Step, Stopwatch};
-/// let mut b = Breakdown::default();
-/// {
-///     let _t = Stopwatch::start(&mut b, Step::TopDown);
-///     // ... timed work ...
-/// }
-/// assert!(b.top_down >= std::time::Duration::ZERO);
-/// ```
-pub struct Stopwatch<'a> {
-    breakdown: &'a mut Breakdown,
-    step: Step,
-    started: std::time::Instant,
-}
-
-impl<'a> Stopwatch<'a> {
-    /// Starts timing `step`.
-    pub fn start(breakdown: &'a mut Breakdown, step: Step) -> Self {
-        Self {
-            breakdown,
-            step,
-            started: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Drop for Stopwatch<'_> {
-    fn drop(&mut self) {
-        self.breakdown.add(self.step, self.started.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,17 +279,6 @@ mod tests {
         assert_eq!(s.frontier_of_phase(1).len(), 2);
         assert_eq!(s.frontier_of_phase(2)[0].size, 5);
         assert!(s.frontier_of_phase(3).is_empty());
-    }
-
-    #[test]
-    fn stopwatch_times_scope() {
-        let mut b = Breakdown::default();
-        {
-            let _t = Stopwatch::start(&mut b, Step::Graft);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(b.graft >= Duration::from_millis(1));
-        assert_eq!(b.top_down, Duration::ZERO);
     }
 
     #[test]

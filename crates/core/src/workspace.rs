@@ -32,17 +32,19 @@
 //!
 //! ## Scope
 //!
-//! The serial engines (MS-BFS in all three configurations, Pothen-Fan,
-//! serial push-relabel) run allocation-free on a warm workspace. The
-//! parallel MS-BFS-Graft engine reuses its large atomic per-vertex
-//! arrays, but its fold/reduce frontier accumulators are inherently
-//! allocating, as are the other parallel solvers and the single-source
-//! baselines; those either reuse what they can or ignore the workspace
-//! (see [`crate::solve_from_in`]).
+//! The MS-BFS engine is one engine with two execution strategies over
+//! one arena ([`MsBuffers`]). Its sequential strategy — MS-BFS in all
+//! three configurations, and parallel MS-BFS-Graft whenever its width is
+//! 1 — runs allocation-free on a warm workspace, as do Pothen-Fan and
+//! serial push-relabel. Its pool strategy (parallel MS-BFS-Graft at
+//! width ≥ 2) reuses the same per-vertex arrays, but its fold/reduce
+//! frontier accumulators are inherently allocating, as are the other
+//! parallel solvers and the single-source baselines; those either reuse
+//! what they can or ignore the workspace (see [`crate::solve_from_in`]).
 
 use graft_graph::{VertexId, NONE};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 /// Packs `value` under `epoch` for the versioned `root`/`leaf` arrays.
 #[inline]
@@ -68,32 +70,115 @@ fn reserve_to<T>(v: &mut Vec<T>, want: usize) {
     }
 }
 
-/// Buffers of the serial MS-BFS engine (all three Fig. 7 configurations).
+/// Per-vertex marks of the MS-BFS engine under every execution strategy
+/// (and of the bounded searches in [`crate::augment`]). Every slot is an
+/// atomic read and written `Relaxed`: the sequential strategy compiles
+/// these to plain loads and stores, the pool strategy shares them across
+/// tasks, and the visited claim is the only read-modify-write (see
+/// `ms_bfs.rs` for the claim and the memory-ordering argument).
 #[derive(Debug, Default)]
-pub(crate) struct MsBuffers {
+pub(crate) struct Marks {
     /// Current solve epoch; `0` means "never used".
     pub(crate) epoch: u32,
+    /// Mate of each `x` — the solve's matching, copied in at the start
+    /// and out at the end.
+    pub(crate) mate_x: Vec<AtomicU32>,
+    /// Mate of each `y`, copied like `mate_x`.
+    pub(crate) mate_y: Vec<AtomicU32>,
     /// `visited[y] == epoch` ⇔ `y` is in some tree this phase.
-    pub(crate) visited: Vec<u32>,
+    pub(crate) visited: Vec<AtomicU32>,
     /// `X` parent of `y`; read only behind a visited check.
-    pub(crate) parent_y: Vec<VertexId>,
+    pub(crate) parent_y: Vec<AtomicU32>,
     /// Tree root of `y`; read only behind a visited check.
-    pub(crate) root_y: Vec<VertexId>,
+    pub(crate) root_y: Vec<AtomicU32>,
     /// Epoch-packed tree root of `x` (read per edge — cannot be guarded).
-    pub(crate) root_x: Vec<u64>,
+    pub(crate) root_x: Vec<AtomicU64>,
     /// Epoch-packed augmenting-path endpoint of the tree rooted at `x`.
-    pub(crate) leaf: Vec<u64>,
+    pub(crate) leaf: Vec<AtomicU64>,
+}
+
+impl Marks {
+    #[inline]
+    pub(crate) fn is_visited(&self, y: VertexId) -> bool {
+        self.visited[y as usize].load(Relaxed) == self.epoch
+    }
+
+    #[inline]
+    pub(crate) fn set_visited(&self, y: VertexId) {
+        self.visited[y as usize].store(self.epoch, Relaxed);
+    }
+
+    /// Takes `y` out of its tree by storing `0`, an epoch that is never
+    /// issued. `parent_y`/`root_y` keep their stale values: they are only
+    /// read behind a visited check.
+    #[inline]
+    pub(crate) fn unvisit(&self, y: VertexId) {
+        self.visited[y as usize].store(0, Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn parent_of(&self, y: VertexId) -> VertexId {
+        self.parent_y[y as usize].load(Relaxed)
+    }
+
+    #[inline]
+    pub(crate) fn set_parent(&self, y: VertexId, x: VertexId) {
+        self.parent_y[y as usize].store(x, Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn root_of_x(&self, x: VertexId) -> VertexId {
+        unpack(self.epoch, self.root_x[x as usize].load(Relaxed))
+    }
+
+    #[inline]
+    pub(crate) fn set_root_x(&self, x: VertexId, root: VertexId) {
+        self.root_x[x as usize].store(pack(self.epoch, root), Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn leaf_of(&self, x: VertexId) -> VertexId {
+        unpack(self.epoch, self.leaf[x as usize].load(Relaxed))
+    }
+
+    #[inline]
+    pub(crate) fn set_leaf(&self, x: VertexId, y: VertexId) {
+        self.leaf[x as usize].store(pack(self.epoch, y), Relaxed);
+    }
+
+    /// Drops `x` from every tree: its root and leaf read as [`NONE`].
+    #[inline]
+    pub(crate) fn clear_x(&self, x: VertexId) {
+        self.root_x[x as usize].store(0, Relaxed);
+        self.leaf[x as usize].store(0, Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn mate_of_x(&self, x: VertexId) -> VertexId {
+        self.mate_x[x as usize].load(Relaxed)
+    }
+
+    #[inline]
+    pub(crate) fn mate_of_y(&self, y: VertexId) -> VertexId {
+        self.mate_y[y as usize].load(Relaxed)
+    }
+}
+
+/// Buffers of the MS-BFS engine (all three Fig. 7 configurations, both
+/// execution strategies) and of the bounded augmenting searches.
+#[derive(Debug, Default)]
+pub(crate) struct MsBuffers {
+    /// The per-vertex marks, shared by every task of a sweep.
+    pub(crate) marks: Marks,
     /// Current BFS frontier (ping-pongs with `next`).
     pub(crate) frontier: Vec<VertexId>,
     /// Next BFS frontier (ping-pongs with `frontier`).
     pub(crate) next: Vec<VertexId>,
     /// Cached unvisited-`Y` list for bottom-up levels.
     pub(crate) unvisited: Vec<VertexId>,
-    /// Whether `unvisited` is a valid superset for the current phase.
-    pub(crate) unvisited_valid: bool,
     /// Renewable `Y` vertices gathered by the frontier rebuild.
     pub(crate) renewable: Vec<VertexId>,
-    /// Augmenting-path reconstruction buffer.
+    /// Path buffer of the bounded augmenting searches.
     pub(crate) path: Vec<VertexId>,
 }
 
@@ -102,21 +187,24 @@ impl MsBuffers {
     /// mark from earlier solves becomes stale) and grows the buffers.
     /// No O(n) clear happens except on the 2³²-solve epoch wrap.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) {
-        if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.root_x.iter_mut().for_each(|v| *v = 0);
-            self.leaf.iter_mut().for_each(|v| *v = 0);
-            self.epoch = 0;
+        let m = &mut self.marks;
+        if m.epoch == u32::MAX {
+            m.visited.iter_mut().for_each(|v| *v.get_mut() = 0);
+            m.root_x.iter_mut().for_each(|v| *v.get_mut() = 0);
+            m.leaf.iter_mut().for_each(|v| *v.get_mut() = 0);
+            m.epoch = 0;
         }
-        self.epoch += 1;
-        if self.visited.len() < ny {
-            self.visited.resize(ny, 0);
-            self.parent_y.resize(ny, NONE);
-            self.root_y.resize(ny, NONE);
+        m.epoch += 1;
+        if m.visited.len() < ny {
+            m.visited.resize_with(ny, || AtomicU32::new(0));
+            m.parent_y.resize_with(ny, || AtomicU32::new(NONE));
+            m.root_y.resize_with(ny, || AtomicU32::new(NONE));
+            m.mate_y.resize_with(ny, || AtomicU32::new(NONE));
         }
-        if self.root_x.len() < nx {
-            self.root_x.resize(nx, 0);
-            self.leaf.resize(nx, 0);
+        if m.root_x.len() < nx {
+            m.root_x.resize_with(nx, || AtomicU64::new(0));
+            m.leaf.resize_with(nx, || AtomicU64::new(0));
+            m.mate_x.resize_with(nx, || AtomicU32::new(NONE));
         }
         // Frontier capacities are reserved up front rather than left to
         // amortized growth: `frontier`/`next` swap roles every level, so
@@ -130,7 +218,6 @@ impl MsBuffers {
         // An augmenting path alternates X and Y vertices, so its length
         // is bounded by twice the smaller side plus the free endpoint.
         reserve_to(&mut self.path, 2 * nx.min(ny) + 1);
-        self.unvisited_valid = false;
         self.frontier.clear();
         self.next.clear();
         self.unvisited.clear();
@@ -138,114 +225,22 @@ impl MsBuffers {
         self.path.clear();
     }
 
-    #[inline]
-    pub(crate) fn is_visited(&self, y: VertexId) -> bool {
-        self.visited[y as usize] == self.epoch
-    }
-
-    #[inline]
-    pub(crate) fn set_visited(&mut self, y: VertexId) {
-        self.visited[y as usize] = self.epoch;
-    }
-
-    #[inline]
-    pub(crate) fn unvisit(&mut self, y: VertexId) {
-        self.visited[y as usize] = 0;
-    }
-
-    #[inline]
-    pub(crate) fn root_of_x(&self, x: VertexId) -> VertexId {
-        unpack(self.epoch, self.root_x[x as usize])
-    }
-
-    #[inline]
-    pub(crate) fn set_root_x(&mut self, x: VertexId, root: VertexId) {
-        self.root_x[x as usize] = pack(self.epoch, root);
-    }
-
-    #[inline]
-    pub(crate) fn clear_root_x(&mut self, x: VertexId) {
-        self.root_x[x as usize] = 0;
-    }
-
-    #[inline]
-    pub(crate) fn leaf_of(&self, x: VertexId) -> VertexId {
-        unpack(self.epoch, self.leaf[x as usize])
-    }
-
-    #[inline]
-    pub(crate) fn set_leaf(&mut self, x: VertexId, y: VertexId) {
-        self.leaf[x as usize] = pack(self.epoch, y);
-    }
-
-    #[inline]
-    pub(crate) fn clear_leaf(&mut self, x: VertexId) {
-        self.leaf[x as usize] = 0;
-    }
-
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.visited.capacity() * size_of::<u32>()
-            + (self.parent_y.capacity() + self.root_y.capacity()) * size_of::<VertexId>()
-            + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<u64>()
+        let m = &self.marks;
+        (m.mate_x.capacity()
+            + m.mate_y.capacity()
+            + m.visited.capacity()
+            + m.parent_y.capacity()
+            + m.root_y.capacity())
+            * size_of::<AtomicU32>()
+            + (m.root_x.capacity() + m.leaf.capacity()) * size_of::<AtomicU64>()
             + (self.frontier.capacity()
                 + self.next.capacity()
                 + self.unvisited.capacity()
                 + self.renewable.capacity()
                 + self.path.capacity())
                 * size_of::<VertexId>()
-    }
-}
-
-/// Buffers of the parallel MS-BFS-Graft engine: the atomic per-vertex
-/// arrays, versioned exactly like the serial ones. The visited claim
-/// becomes `compare_exchange(observed_stale, epoch)` — a lost race means
-/// another task already wrote the current epoch.
-#[derive(Debug, Default)]
-pub(crate) struct ParBuffers {
-    pub(crate) epoch: u32,
-    pub(crate) mate_x: Vec<AtomicU32>,
-    pub(crate) mate_y: Vec<AtomicU32>,
-    pub(crate) visited: Vec<AtomicU32>,
-    pub(crate) parent_y: Vec<AtomicU32>,
-    pub(crate) root_y: Vec<AtomicU32>,
-    pub(crate) root_x: Vec<AtomicU64>,
-    pub(crate) leaf: Vec<AtomicU64>,
-}
-
-impl ParBuffers {
-    /// See [`MsBuffers::begin_solve`]; returns the new epoch.
-    pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) -> u32 {
-        if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v.get_mut() = 0);
-            self.root_x.iter_mut().for_each(|v| *v.get_mut() = 0);
-            self.leaf.iter_mut().for_each(|v| *v.get_mut() = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        if self.visited.len() < ny {
-            self.visited.resize_with(ny, || AtomicU32::new(0));
-            self.parent_y.resize_with(ny, || AtomicU32::new(NONE));
-            self.root_y.resize_with(ny, || AtomicU32::new(NONE));
-            self.mate_y.resize_with(ny, || AtomicU32::new(NONE));
-        }
-        if self.root_x.len() < nx {
-            self.root_x.resize_with(nx, || AtomicU64::new(0));
-            self.leaf.resize_with(nx, || AtomicU64::new(0));
-            self.mate_x.resize_with(nx, || AtomicU32::new(NONE));
-        }
-        self.epoch
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.mate_x.capacity()
-            + self.mate_y.capacity()
-            + self.visited.capacity()
-            + self.parent_y.capacity()
-            + self.root_y.capacity())
-            * size_of::<AtomicU32>()
-            + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<AtomicU64>()
     }
 }
 
@@ -376,7 +371,6 @@ impl PrBuffers {
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     pub(crate) ms: MsBuffers,
-    pub(crate) par: ParBuffers,
     pub(crate) pf: PfBuffers,
     pub(crate) pr: PrBuffers,
 }
@@ -396,7 +390,7 @@ impl SolveWorkspace {
 
     /// Current heap footprint of the owned buffers, in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.ms.bytes() + self.par.bytes() + self.pf.bytes() + self.pr.bytes()
+        self.ms.bytes() + self.pf.bytes() + self.pr.bytes()
     }
 
     /// Jumps every epoch counter to `u32::MAX`, so the *next* solve takes
@@ -405,8 +399,7 @@ impl SolveWorkspace {
     /// not depend on `pub(crate)` access.
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
-        self.ms.epoch = u32::MAX;
-        self.par.epoch = u32::MAX;
+        self.ms.marks.epoch = u32::MAX;
         self.pf.epoch = u32::MAX;
     }
 }
@@ -475,9 +468,8 @@ mod tests {
             &opts,
             &mut ws,
         );
-        ws.ms.epoch = u32::MAX - 1;
+        ws.ms.marks.epoch = u32::MAX - 1;
         ws.pf.epoch = u32::MAX - 1;
-        ws.par.epoch = u32::MAX - 1;
         for _ in 0..4 {
             for alg in [
                 Algorithm::MsBfsGraft,
@@ -490,7 +482,7 @@ mod tests {
             }
         }
         assert!(
-            ws.ms.epoch >= 1 && ws.ms.epoch < 10,
+            ws.ms.marks.epoch >= 1 && ws.ms.marks.epoch < 10,
             "wrapped and restarted"
         );
     }

@@ -20,8 +20,8 @@ fn main() {
     );
 
     // Shared-memory reference.
-    let shared =
-        matching::ms_bfs_graft_parallel(&g, m0.clone(), &matching::MsBfsOptions::graft(), 0);
+    let opts = SolveOptions::default();
+    let shared = solve_from(&g, m0.clone(), Algorithm::MsBfsGraftParallel, &opts);
     println!(
         "shared-memory MS-BFS-Graft: |M| = {}, {} phases",
         shared.matching.cardinality(),

@@ -566,9 +566,12 @@ impl Latch {
         if st.panic.is_none() {
             st.panic = panic;
         }
-        let done = st.remaining == 0;
-        drop(st);
-        if done {
+        // Notify before unlocking. The waiter owns the latch (it lives on
+        // the waiter's stack) and returns, freeing it, as soon as it reads
+        // `remaining == 0` under the lock; a notify issued after the
+        // unlock could write into a latch that is already gone — or into
+        // the next batch's latch at the same address, wedging it.
+        if st.remaining == 0 {
             self.cv.notify_all();
         }
     }

@@ -130,3 +130,46 @@ fn one_thread_parallel_engines_match_installed_singleton_pool() {
         );
     }
 }
+
+#[test]
+fn one_thread_parallel_graft_is_the_serial_engine() {
+    // At width 1 the paper's parallel MS-BFS-Graft must be the serial
+    // engine, not merely agree with it: same mates, same counters, in all
+    // three Fig. 7 configurations and from both a Karp-Sipser and an
+    // empty start.
+    let configs = [
+        MsBfsOptions::plain(),
+        MsBfsOptions::dir_opt_only(),
+        MsBfsOptions::graft(),
+    ];
+    let inits = [
+        matching::init::Initializer::KarpSipser,
+        matching::init::Initializer::None,
+    ];
+    for name in GRAPHS.iter().chain(&["road_usa"]) {
+        let g = gen::suite::by_name(name).unwrap().build(gen::Scale::Tiny);
+        for ms_bfs in configs {
+            for initializer in inits {
+                let o = SolveOptions {
+                    threads: 1,
+                    seed: base_seed(),
+                    initializer,
+                    ms_bfs,
+                    ..SolveOptions::default()
+                };
+                let s = solve(&g, Algorithm::MsBfsGraft, &o);
+                let p = solve(&g, Algorithm::MsBfsGraftParallel, &o);
+                let ctx = format!("{name} {initializer:?} {ms_bfs:?}");
+                assert_eq!(p.matching.mates_x(), s.matching.mates_x(), "{ctx}");
+                assert_eq!(p.matching.mates_y(), s.matching.mates_y(), "{ctx}");
+                assert_eq!(p.stats.phases, s.stats.phases, "{ctx}");
+                assert_eq!(p.stats.edges_traversed, s.stats.edges_traversed, "{ctx}");
+                assert_eq!(p.stats.augmenting_paths, s.stats.augmenting_paths, "{ctx}");
+                assert_eq!(
+                    p.stats.total_augmenting_path_edges, s.stats.total_augmenting_path_edges,
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}

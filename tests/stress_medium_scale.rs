@@ -48,8 +48,8 @@ fn medium_distributed_agrees() {
         .unwrap()
         .build(gen::Scale::Medium);
     let m0 = matching::init::Initializer::RandomGreedy.run(&g, 1);
-    let shared =
-        matching::ms_bfs_graft_parallel(&g, m0.clone(), &matching::MsBfsOptions::graft(), 0);
+    let opts = SolveOptions::default();
+    let shared = solve_from(&g, m0.clone(), Algorithm::MsBfsGraftParallel, &opts);
     let dist = distributed_ms_bfs_graft(&g, m0, 8);
     assert_eq!(shared.matching.cardinality(), dist.matching.cardinality());
     matching::verify::certify_maximum(&g, &dist.matching).unwrap();
