@@ -6,11 +6,14 @@
 use super::load_instance;
 use crate::report::Report;
 use crate::Config;
-use graft_core::{solve_from, Algorithm, MsBfsOptions, SolveOptions};
+use graft_core::trace::{replay, MemorySink};
+use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Tracer};
 use graft_gen::suite::by_name;
+use std::sync::Arc;
 
 /// Prints the phase-by-phase trace of MS-BFS-Graft on the coPapersDBLP
-/// and wikipedia analogs (one high-, one low-matching-number instance).
+/// and wikipedia analogs (one high-, one low-matching-number instance),
+/// as [`replay`] reconstructs and validates it from the run's events.
 pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
     let mut r = Report::new(
         "anatomy_phases",
@@ -32,39 +35,46 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
     for name in ["coPapersDBLP", "wikipedia"] {
         let entry = by_name(name).expect("suite graph");
         let inst = load_instance(entry, cfg);
-        let opts = SolveOptions {
-            ms_bfs: MsBfsOptions {
-                record_phases: true,
-                ..MsBfsOptions::graft()
-            },
-            ..SolveOptions::default()
-        };
-        let out = solve_from(&inst.graph, inst.init.clone(), Algorithm::MsBfsGraft, &opts);
-        let last = out.stats.phase_traces.len();
-        for (i, t) in out.stats.phase_traces.iter().enumerate() {
-            let avg_p = if t.augmenting_paths == 0 {
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
+        let (alg, opts) = (Algorithm::MsBfsGraft, SolveOptions::default());
+        let m0 = inst.init.clone();
+        solve_from_traced_in(
+            &inst.graph,
+            m0,
+            alg,
+            &opts,
+            &tracer,
+            &mut SolveWorkspace::new(),
+        );
+        let runs = replay(&sink.take()).map_err(std::io::Error::other)?;
+        for p in &runs[0].phases {
+            let avg_p = if p.augmentations == 0 {
                 0.0
             } else {
-                t.path_edges as f64 / t.augmenting_paths as f64
+                p.path_edges as f64 / p.augmentations as f64
+            };
+            // Only the final phase, which found no path, has no decision.
+            let (active_x, renewable_y, next) = match p.graft {
+                Some(g) => (
+                    g.active_x,
+                    g.renewable_y,
+                    if g.grafted { "graft" } else { "rebuild" },
+                ),
+                None => (0, 0, "done"),
             };
             r.row(vec![
                 name.into(),
-                t.phase.to_string(),
-                t.levels.to_string(),
-                t.bottom_up_levels.to_string(),
-                t.frontier_peak.to_string(),
-                t.edges_traversed.to_string(),
-                t.augmenting_paths.to_string(),
+                p.phase.to_string(),
+                p.levels.to_string(),
+                p.bottom_up_levels.to_string(),
+                p.frontier_peak.to_string(),
+                p.edges_traversed.to_string(),
+                p.augmentations.to_string(),
                 format!("{avg_p:.1}"),
-                t.active_x.to_string(),
-                t.renewable_y.to_string(),
-                if i + 1 == last {
-                    "done".into()
-                } else if t.grafted {
-                    "graft".into()
-                } else {
-                    "rebuild".into()
-                },
+                active_x.to_string(),
+                renewable_y.to_string(),
+                next.into(),
             ]);
         }
     }
@@ -88,6 +98,14 @@ mod tests {
             ..Config::default()
         };
         anatomy(&cfg).unwrap();
-        assert!(cfg.out_dir.join("anatomy_phases.csv").exists());
+        let csv = std::fs::read_to_string(cfg.out_dir.join("anatomy_phases.csv")).unwrap();
+        for graph in ["coPapersDBLP", "wikipedia"] {
+            assert!(
+                csv.lines()
+                    .skip(1)
+                    .any(|row| row.split(',').next() == Some(graph)),
+                "no {graph} row in\n{csv}"
+            );
+        }
     }
 }

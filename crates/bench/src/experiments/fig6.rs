@@ -7,7 +7,8 @@ use graft_core::{solve_from, Algorithm, SolveOptions};
 
 /// Reports the fraction of runtime spent in TopDown / BottomUp / Augment /
 /// Tree-Grafting / Statistics for every suite graph, Fig. 6's stacked
-/// bars as percentages.
+/// bars as percentages, plus the unattributed rest as "Other" — the six
+/// columns sum to 100% of the solve time.
 pub fn fig6(cfg: &Config) -> std::io::Result<()> {
     let opts = SolveOptions {
         threads: cfg.max_threads(),
@@ -15,7 +16,7 @@ pub fn fig6(cfg: &Config) -> std::io::Result<()> {
     };
     let mut r = Report::new(
         "fig6_breakdown",
-        "Fig. 6 — runtime breakdown of MS-BFS-Graft (% of attributed time)",
+        "Fig. 6 — runtime breakdown of MS-BFS-Graft (% of solve time)",
         &[
             "graph",
             "class",

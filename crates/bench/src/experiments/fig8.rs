@@ -4,14 +4,16 @@
 use super::load_instance;
 use crate::report::Report;
 use crate::Config;
-use graft_core::{solve_from, Algorithm, MsBfsOptions, SolveOptions};
+use graft_core::trace::{MemorySink, TraceEvent};
+use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Tracer};
 use graft_gen::suite::by_name;
+use std::sync::Arc;
 
-/// Records the frontier-size history of MS-BFS and MS-BFS-Graft and
-/// prints the per-level sizes of two mid-run phases (the paper shows
-/// phases 2 and 4). Grafting should start each phase with a large
-/// frontier that only shrinks; without grafting each phase restarts small,
-/// grows, then shrinks.
+/// Traces the BFS levels of MS-BFS and MS-BFS-Graft and prints the
+/// per-level sizes of two mid-run phases (the paper shows phases 2 and
+/// 4). Grafting should start each phase with a large frontier that only
+/// shrinks; without grafting each phase restarts small, grows, then
+/// shrinks.
 pub fn fig8(cfg: &Config) -> std::io::Result<()> {
     let entry = by_name("coPapersDBLP").expect("suite graph");
     let inst = load_instance(entry, cfg);
@@ -24,63 +26,67 @@ pub fn fig8(cfg: &Config) -> std::io::Result<()> {
         ("MS-BFS", Algorithm::MsBfs),
         ("MS-BFS-Graft", Algorithm::MsBfsGraft),
     ] {
-        let opts = SolveOptions {
-            ms_bfs: MsBfsOptions {
-                record_frontier: true,
-                ..MsBfsOptions::graft()
-            },
-            ..SolveOptions::default()
-        };
-        let out = solve_from(&inst.graph, inst.init.clone(), alg, &opts);
-        let max_phase = out
-            .stats
-            .frontier_history
-            .iter()
-            .map(|s| s.phase)
-            .max()
-            .unwrap_or(1);
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
+        let m0 = inst.init.clone();
+        let opts = SolveOptions::default();
+        solve_from_traced_in(
+            &inst.graph,
+            m0,
+            alg,
+            &opts,
+            &tracer,
+            &mut SolveWorkspace::new(),
+        );
+        // (phase, level, frontier size, bottom-up) of every BFS level.
+        let levels: Vec<(u64, u64, u64, bool)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Level {
+                    phase,
+                    level,
+                    frontier,
+                    bottom_up,
+                    ..
+                } => Some((phase, level, frontier, bottom_up)),
+                _ => None,
+            })
+            .collect();
+        let max_phase = levels.iter().map(|l| l.0).max().unwrap_or(1);
         // The paper plots phases 2 and 4; clamp for short runs.
-        for phase in [2u32.min(max_phase), 4u32.min(max_phase)] {
-            for s in out.stats.frontier_of_phase(phase) {
-                r.row(vec![
-                    name.into(),
-                    s.phase.to_string(),
-                    s.level.to_string(),
-                    s.size.to_string(),
-                    if s.bottom_up {
-                        "bottom-up".into()
-                    } else {
-                        "top-down".into()
-                    },
-                ]);
-            }
+        let shown = [2.min(max_phase), 4.min(max_phase)];
+        let of_phase = |p: u64| levels.iter().filter(move |l| l.0 == p);
+        for &(phase, level, size, bottom_up) in shown.iter().flat_map(|&p| of_phase(p)) {
+            r.row(vec![
+                name.into(),
+                phase.to_string(),
+                level.to_string(),
+                size.to_string(),
+                if bottom_up {
+                    "bottom-up".into()
+                } else {
+                    "top-down".into()
+                },
+            ]);
         }
         // Summary: total forest work per phase (area under the curve).
-        let total: usize = out.stats.frontier_history.iter().map(|s| s.size).sum();
+        let total: u64 = levels.iter().map(|l| l.2).sum();
         r.note(format!(
             "{name}: {} phases, total frontier volume {} (area under the curves)",
             max_phase, total
         ));
         // ASCII rendition of the paper's curves: one bar row per level.
-        let peak = out
-            .stats
-            .frontier_history
-            .iter()
-            .map(|s| s.size)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        for phase in [2u32.min(max_phase), 4u32.min(max_phase)] {
-            for s in out.stats.frontier_of_phase(phase) {
-                let width = (s.size * 40).div_ceil(peak);
-                r.note(format!(
-                    "{name:>12} p{} L{:<2} |{:<40}| {}",
-                    s.phase,
-                    s.level,
-                    "█".repeat(width),
-                    s.size
-                ));
-            }
+        let peak = levels.iter().map(|l| l.2).max().unwrap_or(1).max(1);
+        for &(phase, level, size, _) in shown.iter().flat_map(|&p| of_phase(p)) {
+            let width = (size * 40).div_ceil(peak) as usize;
+            r.note(format!(
+                "{name:>12} p{} L{:<2} |{:<40}| {}",
+                phase,
+                level,
+                "█".repeat(width),
+                size
+            ));
         }
     }
     r.note("paper expectation: grafting starts phases with large frontiers that shrink monotonically; without grafting phases start small, grow, then shrink — with a larger area (more traversal work) and taller forests (more synchronization).");
@@ -103,6 +109,14 @@ mod tests {
             ..Config::default()
         };
         fig8(&cfg).unwrap();
-        assert!(cfg.out_dir.join("fig8_frontier_sizes.csv").exists());
+        let csv = std::fs::read_to_string(cfg.out_dir.join("fig8_frontier_sizes.csv")).unwrap();
+        for alg in ["MS-BFS", "MS-BFS-Graft"] {
+            assert!(
+                csv.lines()
+                    .skip(1)
+                    .any(|row| row.split(',').next() == Some(alg)),
+                "no {alg} row in\n{csv}"
+            );
+        }
     }
 }

@@ -6,8 +6,8 @@ use crate::report::{dur, f2, Report};
 use crate::Config;
 use graft_core::{solve_from, Algorithm, SolveOptions};
 
-/// Reports search time (top-down + bottom-up) as a fraction of total
-/// attributed time for the serial and parallel MS-BFS-Graft engines.
+/// Reports search time (top-down + bottom-up) as a fraction of the solve
+/// time for the serial and parallel MS-BFS-Graft engines.
 pub fn fig9(cfg: &Config) -> std::io::Result<()> {
     let mut r = Report::new(
         "fig9_search_fraction",

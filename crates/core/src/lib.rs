@@ -17,8 +17,15 @@
 //! All solvers take a [`Matching`] as the starting point — typically the
 //! Karp-Sipser maximal matching ([`init::Initializer`]) as in the paper —
 //! and return a [`RunOutcome`] bundling the final matching with the
-//! instrumentation ([`stats::SearchStats`]) that the experiment harness
-//! uses to regenerate the paper's figures.
+//! end-of-run counters and step timings ([`stats::SearchStats`]).
+//!
+//! The [`Algorithm`] dispatcher has four entry points: [`solve`] runs the
+//! configured initializer first; [`solve_from`] starts from the caller's
+//! matching; [`solve_from_in`] also reuses a caller-owned
+//! [`SolveWorkspace`]; and [`solve_from_traced_in`] also streams the
+//! run's levels and phases to a [`Tracer`]. That stream is the only
+//! per-level and per-phase record: the experiment harness reads Fig. 8's
+//! frontier sizes and the phase anatomy from it (see [`trace`]).
 //!
 //! ```
 //! use graft_core::{solve, Algorithm, SolveOptions};
@@ -76,16 +83,13 @@ pub use augment::{
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
 pub use ms_bfs::{MsBfsOptions, NowHook, PhaseHook};
-pub use pothen_fan::{pothen_fan, pothen_fan_traced, pothen_fan_traced_in};
+pub use pothen_fan::pothen_fan;
 pub use pothen_fan_par::pothen_fan_parallel;
 // Search internals for the graft-check model suite; invisible otherwise.
 #[cfg(graft_check)]
 #[doc(hidden)]
 pub use pothen_fan_par::check_api as pf_check_api;
-pub use push_relabel::{
-    push_relabel, push_relabel_parallel, push_relabel_traced, push_relabel_traced_in, PrOrder,
-    PushRelabelOptions,
-};
+pub use push_relabel::{push_relabel, push_relabel_parallel, PrOrder, PushRelabelOptions};
 pub use ss::{ss_bfs, ss_dfs};
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
@@ -254,31 +258,19 @@ pub fn solve(g: &BipartiteCsr, algorithm: Algorithm, opts: &SolveOptions) -> Run
     solve_from(g, m0, algorithm, opts)
 }
 
-/// [`solve`] with a [`Tracer`] observing the run (see [`solve_from_traced`]).
-pub fn solve_traced(
+/// Runs `algorithm` on `g` starting from the given matching.
+pub fn solve_from(
     g: &BipartiteCsr,
+    m0: Matching,
     algorithm: Algorithm,
     opts: &SolveOptions,
-    tracer: &Tracer,
 ) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_traced(g, m0, algorithm, opts, tracer)
+    solve_from_in(g, m0, algorithm, opts, &mut SolveWorkspace::new())
 }
 
-/// [`solve`] against a caller-owned [`SolveWorkspace`]: repeated solves
-/// reuse the workspace's buffers instead of allocating per call (see
-/// [`solve_from_traced_in`] for which algorithms benefit).
-pub fn solve_in(
-    g: &BipartiteCsr,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_in(g, m0, algorithm, opts, ws)
-}
-
-/// [`solve_from`] against a caller-owned [`SolveWorkspace`].
+/// [`solve_from`] against a caller-owned [`SolveWorkspace`]: repeated
+/// solves reuse the workspace's buffers instead of allocating per call
+/// (see [`solve_from_traced_in`] for which algorithms benefit).
 pub fn solve_from_in(
     g: &BipartiteCsr,
     m0: Matching,
@@ -287,18 +279,6 @@ pub fn solve_from_in(
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
     solve_from_traced_in(g, m0, algorithm, opts, &Tracer::disabled(), ws)
-}
-
-/// [`solve_traced`] against a caller-owned [`SolveWorkspace`].
-pub fn solve_traced_in(
-    g: &BipartiteCsr,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    tracer: &Tracer,
-    ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_traced_in(g, m0, algorithm, opts, tracer, ws)
 }
 
 /// One-call maximum cardinality matching with the paper's default stack
@@ -318,16 +298,6 @@ pub fn maximum_matching(g: &BipartiteCsr) -> Matching {
 /// The matching number of `g` (size of a maximum matching).
 pub fn matching_number(g: &BipartiteCsr) -> usize {
     maximum_matching(g).cardinality()
-}
-
-/// Runs `algorithm` on `g` starting from the given matching.
-pub fn solve_from(
-    g: &BipartiteCsr,
-    m0: Matching,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-) -> RunOutcome {
-    solve_from_traced(g, m0, algorithm, opts, &Tracer::disabled())
 }
 
 /// The effective MS-BFS engine configuration for `algorithm` (None for
@@ -351,26 +321,14 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
     }
 }
 
-/// [`solve_from`] with a [`Tracer`] observing the run: a `run_start` /
+/// [`solve_from_in`] with a [`Tracer`] observing the run: a `run_start` /
 /// `run_end` pair around the solve, plus whatever inner events the
 /// algorithm's engine emits (levels and phases for the MS-BFS engines,
 /// phases for Pothen-Fan and serial push-relabel). With a disabled tracer
-/// this *is* `solve_from` — no event is built, no clock is read.
-pub fn solve_from_traced(
-    g: &BipartiteCsr,
-    m0: Matching,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    solve_from_traced_in(g, m0, algorithm, opts, tracer, &mut ws)
-}
-
-/// [`solve_from_traced`] against a caller-owned [`SolveWorkspace`].
+/// this *is* `solve_from_in` — no event is built, no clock is read.
 ///
-/// Identical output to the fresh-allocation entry points — same matching,
-/// same [`stats::SearchStats`] counters — but the per-vertex arrays and
+/// Identical output to a fresh workspace — same matching, same
+/// [`stats::SearchStats`] counters — but the per-vertex arrays and
 /// frontier vectors live in `ws` and are recycled across calls via an
 /// epoch/versioned-visited scheme, so a warm solve performs no `O(n)`
 /// clears and (for the serial engines) no heap allocations at all. The
@@ -399,7 +357,7 @@ pub fn solve_from_traced_in(
     let out = match algorithm {
         Algorithm::SsDfs => ss_dfs(g, m0),
         Algorithm::SsBfs => ss_bfs(g, m0),
-        Algorithm::PothenFan => pothen_fan_traced_in(g, m0, tracer, ws),
+        Algorithm::PothenFan => pothen_fan::pothen_fan_in(g, m0, tracer, ws),
         Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0, opts.threads),
         Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
         Algorithm::MsBfs | Algorithm::MsBfsDirOpt | Algorithm::MsBfsGraft => {
@@ -409,7 +367,9 @@ pub fn solve_from_traced_in(
             let ms_opts = ms_opts.expect("MS algorithm");
             ms_bfs::solve_in(g, m0, &ms_opts, opts.threads, tracer, ws)
         }
-        Algorithm::PushRelabel => push_relabel_traced_in(g, m0, &opts.push_relabel, tracer, ws),
+        Algorithm::PushRelabel => {
+            push_relabel::push_relabel_in(g, m0, &opts.push_relabel, tracer, ws)
+        }
         Algorithm::PushRelabelParallel => push_relabel_parallel(
             g,
             m0,
@@ -498,19 +458,26 @@ mod tests {
             ms_bfs: MsBfsOptions {
                 deadline: Some(deadline),
                 now_hook: Some(NowHook(&|| *FROZEN.get().expect("set above"))),
-                record_phases: true,
                 ..MsBfsOptions::default()
             },
             ..SolveOptions::default()
         };
         for alg in Algorithm::ALL.into_iter().filter(|a| a.supports_deadline()) {
-            let out = solve(&g, alg, &opts);
+            let sink = std::sync::Arc::new(trace::MemorySink::new());
+            let tracer = Tracer::to_sink(std::sync::Arc::clone(&sink) as _);
+            let m0 = Matching::for_graph(&g);
+            let out = solve_from_traced_in(&g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
             assert!(!out.stats.timed_out, "{}: read the wall clock", alg.name());
             assert_eq!(out.matching.cardinality(), 3, "{}", alg.name());
+            let phase_ends = sink
+                .take()
+                .iter()
+                .filter(|ev| matches!(ev, TraceEvent::PhaseEnd { .. }))
+                .count();
             assert_eq!(
-                out.stats.phase_traces.len(),
+                phase_ends,
                 out.stats.phases as usize,
-                "{}: dropped record_phases",
+                "{}: phases missing from the trace",
                 alg.name()
             );
         }

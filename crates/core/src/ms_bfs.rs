@@ -87,7 +87,7 @@
 //! level. The engine code needed no changes to run multithreaded; see
 //! DESIGN.md §17 for the full argument.
 
-use crate::stats::{PhaseTrace, SearchStats, Step};
+use crate::stats::{SearchStats, Step};
 use crate::trace::{TraceEvent, Tracer};
 use crate::workspace::{Marks, MsBuffers, SolveWorkspace};
 use crate::{Matching, RunOutcome};
@@ -157,10 +157,6 @@ pub struct MsBfsOptions {
     pub direction_optimizing: bool,
     /// Enable tree grafting between phases.
     pub grafting: bool,
-    /// Record per-level frontier sizes into the stats (Fig. 8).
-    pub record_frontier: bool,
-    /// Record per-phase summaries ([`crate::stats::PhaseTrace`]).
-    pub record_phases: bool,
     /// Cooperative cancellation: when set, the engine checks the clock at
     /// every phase boundary and stops early once the deadline has passed,
     /// returning the (valid, maximal-so-far) matching with
@@ -184,8 +180,6 @@ impl Default for MsBfsOptions {
             alpha: 5.0,
             direction_optimizing: true,
             grafting: true,
-            record_frontier: false,
-            record_phases: false,
             deadline: None,
             phase_hook: None,
             now_hook: None,
@@ -464,6 +458,9 @@ fn run<E: Exec>(
     let matching = Matching::from_mates_unchecked(mx, my, cardinality);
     stats.final_cardinality = cardinality;
     stats.elapsed = start.elapsed();
+    // Whatever the five steps did not cover is "Other" (Fig. 6), so the
+    // breakdown sums to the solve time. `other` is still zero here.
+    stats.breakdown.other = stats.elapsed.saturating_sub(stats.breakdown.total());
     RunOutcome { matching, stats }
 }
 
@@ -573,6 +570,22 @@ impl Forest<'_> {
     }
 }
 
+/// What one phase paid and gained, accumulated for its `PhaseEnd` and
+/// `Graft` trace events.
+#[derive(Default)]
+struct PhaseTally {
+    phase: u32,
+    levels: u32,
+    bottom_up_levels: u32,
+    frontier_peak: usize,
+    edges_traversed: u64,
+    augmenting_paths: u64,
+    path_edges: u64,
+    active_x: usize,
+    renewable_y: usize,
+    grafted: bool,
+}
+
 struct Engine<'a> {
     f: Forest<'a>,
     opts: &'a MsBfsOptions,
@@ -608,7 +621,7 @@ impl Engine<'_> {
             }
             self.stats.phases += 1;
             let phase = self.stats.phases;
-            let mut trace = PhaseTrace {
+            let mut trace = PhaseTally {
                 phase,
                 ..Default::default()
             };
@@ -623,9 +636,6 @@ impl Engine<'_> {
                 let width = self.frontier.len();
                 let bottom_up = self.opts.direction_optimizing
                     && (width as f64) >= self.num_unvisited_y as f64 / self.opts.alpha;
-                if self.opts.record_frontier {
-                    self.stats.record_frontier(phase, level, width, bottom_up);
-                }
                 self.tracer.emit(|| TraceEvent::Level {
                     phase: u64::from(phase),
                     level: u64::from(level),
@@ -678,10 +688,9 @@ impl Engine<'_> {
         }
     }
 
-    /// Emits the phase's trace events and records its summary when asked
-    /// to. A phase that augmented nothing ends the solve without a
-    /// rebuild, so it has no `Graft` event.
-    fn end_phase(&mut self, trace: PhaseTrace, phase_t0: Option<Instant>) {
+    /// Emits the phase's trace events. A phase that augmented nothing ends
+    /// the solve without a rebuild, so it has no `Graft` event.
+    fn end_phase(&self, trace: PhaseTally, phase_t0: Option<Instant>) {
         self.tracer.emit(|| TraceEvent::PhaseEnd {
             phase: u64::from(trace.phase),
             levels: u64::from(trace.levels),
@@ -699,9 +708,6 @@ impl Engine<'_> {
                 renewable_y: trace.renewable_y as u64,
                 grafted: trace.grafted,
             });
-        }
-        if self.opts.record_phases {
-            self.stats.phase_traces.push(trace);
         }
     }
 
@@ -981,16 +987,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn frontier_history_recorded() {
-        let opts = MsBfsOptions {
-            record_frontier: true,
-            ..MsBfsOptions::graft()
+    /// A traced `ms-bfs-graft-par` solve at `threads` (width 1 runs `Seq`)
+    /// and its event stream.
+    fn traced_at(g: &BipartiteCsr, m: Matching, threads: usize) -> (RunOutcome, Vec<TraceEvent>) {
+        let sink = std::sync::Arc::new(crate::trace::MemorySink::new());
+        let tracer = Tracer::to_sink(std::sync::Arc::clone(&sink) as _);
+        let opts = crate::SolveOptions {
+            threads,
+            ..crate::SolveOptions::default()
         };
-        for (g, t) in [(fig2_graph(), 1), (chain(50), 2), (chain(50), 4)] {
-            let out = run_at(&g, Matching::for_graph(&g), &opts, t);
-            assert!(!out.stats.frontier_history.is_empty(), "t={t}");
-            assert_eq!(out.stats.frontier_history[0].level, 0);
+        let alg = crate::Algorithm::MsBfsGraftParallel;
+        let out =
+            crate::solve_from_traced_in(g, m, alg, &opts, &tracer, &mut SolveWorkspace::new());
+        (out, sink.take())
+    }
+
+    /// Replays `events` as one run whose phase count is the engine's.
+    fn replay_one(events: &[TraceEvent], out: &RunOutcome) -> crate::trace::RunSummary {
+        let mut runs = crate::trace::replay(events).expect("trace replays");
+        assert_eq!(runs.len(), 1);
+        let phase_ends = events
+            .iter()
+            .filter(|ev| matches!(ev, TraceEvent::PhaseEnd { .. }))
+            .count();
+        assert_eq!(phase_ends, out.stats.phases as usize);
+        runs.pop().expect("one run")
+    }
+
+    #[test]
+    fn frontier_levels_are_traced() {
+        for t in WIDTHS {
+            for g in [fig2_graph(), chain(50)] {
+                let (out, events) = traced_at(&g, Matching::for_graph(&g), t);
+                replay_one(&events, &out);
+                let levels: Vec<u64> = events
+                    .iter()
+                    .filter_map(|ev| match ev {
+                        TraceEvent::Level { level, .. } => Some(*level),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(!levels.is_empty(), "t={t}");
+                assert_eq!(levels[0], 0, "t={t}");
+            }
         }
     }
 
@@ -1006,19 +1045,27 @@ mod tests {
         m0.match_pair(2, 0);
         m0.match_pair(3, 3);
         m0.match_pair(4, 4);
-        let opts = MsBfsOptions {
-            record_phases: true,
-            ..MsBfsOptions::graft()
-        };
-        let out = serial(&g, m0, &opts);
-        assert_eq!(out.matching.cardinality(), 6);
-        let t = &out.stats.phase_traces;
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].augmenting_paths, 2);
-        assert_eq!(t[0].path_edges, 4); // lengths 1 + 3
-        assert_eq!(t[0].renewable_y, 5);
-        assert_eq!(t[0].active_x, 0); // every tree found a path
-        assert_eq!(t[1].augmenting_paths, 0); // certification phase
+        for t in WIDTHS {
+            let (out, events) = traced_at(&g, m0.clone(), t);
+            assert_eq!(out.matching.cardinality(), 6);
+            let p = replay_one(&events, &out).phases;
+            assert_eq!(p.len(), 2, "t={t}");
+            assert_eq!(p[0].augmentations, 2, "t={t}");
+            assert_eq!(p[0].path_edges, 4, "t={t}"); // lengths 1 + 3
+            let graft = p[0].graft.expect("phase 1 rebuilds its frontier");
+            assert_eq!(graft.renewable_y, 5, "t={t}");
+            assert_eq!(graft.active_x, 0, "t={t}"); // every tree found a path
+            assert_eq!(p[1].augmentations, 0, "t={t}"); // certification phase
+        }
+    }
+
+    #[test]
+    fn breakdown_sums_to_the_solve_time() {
+        for t in [1, 2] {
+            let g = chain(200);
+            let out = run_at(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), t);
+            assert_eq!(out.stats.breakdown.total(), out.stats.elapsed, "t={t}");
+        }
     }
 
     #[test]

@@ -7,16 +7,19 @@
 //! as typed [`TraceEvent`]s, so the same run can be watched live by the
 //! service (`TRACE` verb), written to a JSON-lines file (`graftmatch
 //! --trace`), and replayed into the paper-style tables (`experiments
-//! trace-report`).
+//! trace-report`). The stream is the only per-level and per-phase record
+//! the engines keep: `experiments fig8` reads Fig. 8's frontier sizes
+//! from its [`TraceEvent::Level`] events, and `experiments anatomy` reads
+//! its phase table from [`replay`], so that table is validated too.
 //!
 //! ## The zero-overhead contract
 //!
 //! Engines hold a [`Tracer`] and call [`Tracer::emit`] with a *closure*
-//! that builds the event. When the tracer is disabled (the default for
-//! every non-`_traced` entry point) the closure is **never evaluated**:
-//! the whole call is a branch on a `None` that the optimizer deletes, so
-//! no event is constructed, no string is formatted, and no lock is
-//! touched. The differential test `tests/trace_noninterference.rs` pins
+//! that builds the event. When the tracer is disabled (every entry point
+//! but [`crate::solve_from_traced_in`] passes a disabled one) the closure
+//! is **never evaluated**: the whole call is a branch on a `None` that the
+//! optimizer deletes, so no event is constructed, no string is formatted,
+//! and no lock is touched. The differential test `tests/trace_noninterference.rs` pins
 //! the stronger property that tracing — enabled or not — never perturbs
 //! the matching or the [`SearchStats`] aggregates: event closures only
 //! *read* engine state.

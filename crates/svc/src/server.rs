@@ -51,8 +51,8 @@ use crate::scheduler::Scheduler;
 use crate::snapshot::{self, Snapshot, SnapshotDelta};
 use graft_core::trace::RingSink;
 use graft_core::{
-    solve_from_traced_in, solve_traced_in, Algorithm, MsBfsOptions, NowHook, PhaseHook,
-    SolveOptions, SolveWorkspace, Tracer,
+    solve_from_traced_in, Algorithm, MsBfsOptions, NowHook, PhaseHook, SolveOptions,
+    SolveWorkspace, Tracer,
 };
 use graft_dyn::{DynConfig, DynamicMatching, UpdateOutcome};
 use graft_sim::{Clock, Conn, Disk, Listener, RealDisk, TcpTransport, Transport, WallClock};
@@ -339,12 +339,11 @@ fn run_job(
                 .solve_threads_used
                 .fetch_add(threads.max(1) as u64, Ordering::Relaxed);
             let t0 = clock.now();
-            let out = match warm.filter(|_| !cold) {
-                Some(m0) => {
-                    solve_from_traced_in(&graph, (*m0).clone(), algorithm, &opts, tracer, ws)
-                }
-                None => solve_traced_in(&graph, algorithm, &opts, tracer, ws),
+            let m0 = match warm.filter(|_| !cold) {
+                Some(m0) => (*m0).clone(),
+                None => opts.initializer.run(&graph, opts.seed),
             };
+            let out = solve_from_traced_in(&graph, m0, algorithm, &opts, tracer, ws);
             let solve_us = clock.now().saturating_duration_since(t0).as_micros() as u64;
             metrics.solve.record(solve_us);
             if out.stats.timed_out {

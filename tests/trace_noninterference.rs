@@ -58,7 +58,8 @@ fn traced_runs_are_byte_identical_for_every_algorithm() {
             };
             let sink = Arc::new(matching::trace::MemorySink::new());
             let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-            let traced = solve_from_traced(&g, m0.clone(), alg, &opts, &tracer);
+            let mut ws = SolveWorkspace::new();
+            let traced = solve_from_traced_in(&g, m0.clone(), alg, &opts, &tracer, &mut ws);
             let untraced = solve_from(&g, m0.clone(), alg, &opts);
             assert_same_run(&label, &traced, &untraced);
 
@@ -88,8 +89,10 @@ fn disabled_tracer_matches_plain_entry_points() {
         Algorithm::PushRelabel,
     ] {
         let opts = SolveOptions::default();
-        let a = solve_traced(&g, alg, &opts, &Tracer::disabled());
-        let b = matching::solve(&g, alg, &opts);
+        let m0 = opts.initializer.run(&g, opts.seed);
+        let mut ws = SolveWorkspace::new();
+        let a = solve_from_traced_in(&g, m0.clone(), alg, &opts, &Tracer::disabled(), &mut ws);
+        let b = solve_from(&g, m0, alg, &opts);
         assert_same_run(alg.cli_name(), &a, &b);
     }
 }

@@ -40,7 +40,8 @@ fn capture(g: &BipartiteCsr, alg: Algorithm, seed: u64) -> (Vec<TraceEvent>, Run
     };
     let sink = Arc::new(MemorySink::new());
     let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-    let out = solve_traced(g, alg, &opts, &tracer);
+    let m0 = opts.initializer.run(g, seed);
+    let out = solve_from_traced_in(g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
     (sink.take(), out)
 }
 

@@ -47,7 +47,8 @@ fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
         let mut ws = SolveWorkspace::new();
         // Fill the buffers with real marks from the bigger graph, then
         // pin the counters at the wrap point.
-        solve_in(&big, alg, &SolveOptions::default(), &mut ws);
+        let m0_big = matching::init::Initializer::KarpSipser.run(&big, 1);
+        solve_from_in(&big, m0_big, alg, &SolveOptions::default(), &mut ws);
         ws.force_epoch_wrap();
         let fresh = solve_from(&small, m0_small.clone(), alg, &opts);
         let wrapped = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);

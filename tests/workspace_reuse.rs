@@ -118,8 +118,8 @@ fn consecutive_warm_solves_are_reproducible() {
     }
 }
 
-/// `solve_in` (initializer inside) agrees with `solve` for a recycled
-/// workspace, and shrink() between solves is harmless.
+/// `solve_from_in` from the configured initializer agrees with `solve`
+/// for a recycled workspace, and shrink() between solves is harmless.
 #[test]
 fn solve_in_and_shrink_roundtrip() {
     let g = gen::preferential_attachment(900, 1100, 3, 0.4, 5);
@@ -127,10 +127,11 @@ fn solve_in_and_shrink_roundtrip() {
     let mut ws = SolveWorkspace::new();
     for &alg in &[Algorithm::MsBfsGraft, Algorithm::PothenFan] {
         let fresh = solve(&g, alg, &opts);
-        let reused = solve_in(&g, alg, &opts, &mut ws);
+        let m0 = opts.initializer.run(&g, opts.seed);
+        let reused = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
         assert_eq!(fresh.matching.mates_x(), reused.matching.mates_x());
         ws.shrink();
-        let after_shrink = solve_in(&g, alg, &opts, &mut ws);
+        let after_shrink = solve_from_in(&g, m0, alg, &opts, &mut ws);
         assert_eq!(fresh.matching.mates_x(), after_shrink.matching.mates_x());
     }
 }
