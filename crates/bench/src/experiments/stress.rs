@@ -4,16 +4,18 @@
 //!
 //! Each iteration solves three structurally distinct suite graphs with
 //! every (parallel, serial) engine pair at widths 1/2/4/8, under a fresh
-//! initializer seed, and demands that concurrency changes the *schedule*,
-//! never the *answer*: equal cardinality with the serial twin, a valid
-//! matching, a König cover of equal size, and no surviving augmenting
-//! path (Berge). Iterations repeat until the wall-clock budget is spent
-//! (always at least one). On failure the exact replay command — same
-//! seed, one iteration — is printed.
+//! initializer seed, plus `ms-bfs-graft-par` from the empty matching, and
+//! demands that concurrency changes the *schedule*, never the *answer*:
+//! equal cardinality with the serial twin, a valid matching, a König
+//! cover of equal size, and no surviving augmenting path (Berge).
+//! Iterations repeat until the wall-clock budget is spent (always at
+//! least one). On failure the exact replay command — same seed, one
+//! iteration — is printed.
 
 use crate::report::Report;
 use crate::Config;
-use graft_core::{solve, Algorithm, SolveOptions};
+use graft_core::init::Initializer;
+use graft_core::{solve, Algorithm, MsBfsOptions, SolveOptions};
 use graft_gen::suite::by_name;
 use std::time::{Duration, Instant};
 
@@ -30,6 +32,18 @@ const ENGINE_PAIRS: [(Algorithm, Algorithm); 3] = [
     (Algorithm::MsBfsGraftParallel, Algorithm::MsBfsGraft),
     (Algorithm::PushRelabelParallel, Algorithm::PushRelabel),
 ];
+
+/// `ms-bfs-graft-par` from the empty matching. The Karp-Sipser starts
+/// leave every top-down level below the engine's split grain, so none of
+/// their visited claims is concurrent. From the empty matching the first
+/// level is all of X: plain MS-BFS sweeps it top-down with concurrent
+/// claims, MS-BFS-Graft bottom-up.
+fn empty_start_cases() -> [(&'static str, MsBfsOptions); 2] {
+    [
+        (" from empty (plain)", MsBfsOptions::plain()),
+        (" from empty (graft)", MsBfsOptions::graft()),
+    ]
+}
 
 /// Knobs for [`stress`]; both surface as `experiments stress` CLI flags.
 #[derive(Clone, Copy, Debug)]
@@ -64,12 +78,28 @@ fn one_iteration(cfg: &Config, seed: u64) -> Result<usize, String> {
         let g = by_name(name)
             .unwrap_or_else(|| panic!("suite graph {name} missing"))
             .build(cfg.scale);
-        for (par, serial) in ENGINE_PAIRS {
-            let base_opts = SolveOptions {
-                threads: 1,
-                seed,
-                ..SolveOptions::default()
-            };
+        let base_opts = SolveOptions {
+            threads: 1,
+            seed,
+            ..SolveOptions::default()
+        };
+        let mut cases: Vec<(Algorithm, Algorithm, &str, SolveOptions)> = ENGINE_PAIRS
+            .iter()
+            .map(|&(par, serial)| (par, serial, "", base_opts))
+            .collect();
+        for (label, ms_bfs) in empty_start_cases() {
+            cases.push((
+                Algorithm::MsBfsGraftParallel,
+                Algorithm::MsBfsGraft,
+                label,
+                SolveOptions {
+                    initializer: Initializer::None,
+                    ms_bfs,
+                    ..base_opts
+                },
+            ));
+        }
+        for (par, serial, label, base_opts) in cases {
             let baseline = solve(&g, serial, &base_opts);
             baseline.matching.validate(&g).map_err(|e| {
                 format!("{} on {name}: invalid serial baseline: {e}", serial.name())
@@ -81,11 +111,13 @@ fn one_iteration(cfg: &Config, seed: u64) -> Result<usize, String> {
                     par,
                     &SolveOptions {
                         threads,
-                        seed,
-                        ..SolveOptions::default()
+                        ..base_opts
                     },
                 );
-                let ctx = format!("{} on {name} seed={seed} threads={threads}", par.name());
+                let ctx = format!(
+                    "{} on {name} seed={seed} threads={threads}{label}",
+                    par.name()
+                );
                 out.matching
                     .validate(&g)
                     .map_err(|e| format!("{ctx}: invalid matching: {e}"))?;

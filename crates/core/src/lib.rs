@@ -57,26 +57,6 @@ mod workspace;
 
 mod hopcroft_karp;
 
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use graft_graph::{BipartiteCsr, GraphBuilder, VertexId};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Seeded random bipartite graph for unit tests.
-    pub fn random_graph(nx: usize, ny: usize, m: usize, seed: u64) -> BipartiteCsr {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut b = GraphBuilder::with_capacity(nx, ny, m);
-        for _ in 0..m {
-            b.add_edge(
-                rng.gen_range(0..nx) as VertexId,
-                rng.gen_range(0..ny) as VertexId,
-            );
-        }
-        b.build()
-    }
-}
-
 pub use augment::{
     augment_from_free_x, augment_from_x, augment_from_y, AugmentOutcome, XYAdjacency,
 };
@@ -388,6 +368,26 @@ pub fn solve_from_traced_in(
         timed_out: out.stats.timed_out,
     });
     out
+}
+
+#[cfg(test)]
+pub(crate) mod tests_support {
+    use graft_graph::{BipartiteCsr, GraphBuilder, VertexId};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Seeded random bipartite graph for unit tests.
+    pub fn random_graph(nx: usize, ny: usize, m: usize, seed: u64) -> BipartiteCsr {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::with_capacity(nx, ny, m);
+        for _ in 0..m {
+            b.add_edge(
+                rng.gen_range(0..nx) as VertexId,
+                rng.gen_range(0..ny) as VertexId,
+            );
+        }
+        b.build()
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //!   the workspace's frontier vectors; the visited claim is
 //!   load-compare-store. A warm solve performs no heap allocation.
 //! * `Pool` — rayon sweeps over the installed pool; the visited claim is
-//!   a `compare_exchange`.
+//!   a `compare_exchange`. A sweep over fewer than `GRAIN` (1,024) items
+//!   runs as the `Seq` loop on the driving thread, CAS claim included.
 //!
 //! `ms-bfs`, `ms-bfs-do` and `ms-bfs-graft` run `Seq`. `ms-bfs-graft-par`
 //! runs `Seq` too whenever its effective width is 1 (`threads = 1`, or
@@ -75,6 +76,16 @@
 //!   one task, which is the only writer of its flags (§III-B).
 //! * **Parallel augmentation.** Augmenting paths live in distinct trees and
 //!   are therefore vertex-disjoint; each is flipped by one task.
+//! * **Small sweeps stay on the driving thread.** The frontier size that
+//!   picks a level's direction also decides whether to split it. On a
+//!   2-vCPU Xeon host a pool batch costs about 14 µs with the other
+//!   worker parked (3 µs hot) and a top-down frontier vertex about 50 ns,
+//!   so two threads win back a parked batch only above about 560
+//!   vertices. Of `road_usa:small`'s 5,782 top-down levels from
+//!   Karp-Sipser, 520 hold ≤ 32 vertices, 4,973 hold 33–256, 270 hold
+//!   257–1,023 and 19 more; split, they made the 2-thread solve 2.3×
+//!   slower than serial. Its bottom-up levels and per-phase passes sweep
+//!   a whole side (32,400) and stay on the pool (DESIGN.md §17).
 //!
 //! Memory ordering: claims use `AcqRel` CAS; all other pointer stores are
 //! `Relaxed` and become visible to the next level / step through the
@@ -84,8 +95,11 @@
 //! barriers: every batch ends with the submitting thread acquiring a latch
 //! mutex that each worker released after finishing its piece, so all
 //! `Relaxed` stores from a level are ordered before every read in the next
-//! level. The engine code needed no changes to run multithreaded; see
-//! DESIGN.md §17 for the full argument.
+//! level. A sweep run on the driving thread is ordered before the next
+//! by program order, and a batch's submission (a deque push behind a
+//! `Release` fence, or the injector mutex) publishes the driving
+//! thread's stores to the workers. The engine code needed no changes to
+//! run multithreaded; see DESIGN.md §17 for the full argument.
 
 use crate::stats::{SearchStats, Step};
 use crate::trace::{TraceEvent, Tracer};
@@ -311,9 +325,12 @@ impl Exec for Seq {
     }
 }
 
-/// Rayon sweeps on the current pool. Results land in the workspace
-/// vectors by copy, so their reserved capacity survives for later
-/// `Seq` solves on the same workspace.
+/// `Pool` runs sweeps over fewer items than this as the `Seq` loop.
+const GRAIN: usize = 1024;
+
+/// Rayon sweeps on the current pool, or `Seq` below [`GRAIN`] items.
+/// Results land in the workspace vectors by copy, so their reserved
+/// capacity survives for later `Seq` solves on the same workspace.
 struct Pool;
 
 impl Exec for Pool {
@@ -334,6 +351,9 @@ impl Exec for Pool {
         out: &mut Vec<VertexId>,
         step: impl Fn(VertexId, &mut Level) + Sync,
     ) -> (u64, u64) {
+        if items.len() < GRAIN {
+            return Seq::expand(items, out, step);
+        }
         let acc = items
             .par_iter()
             .fold(Level::default, |mut acc, &v| {
@@ -347,6 +367,9 @@ impl Exec for Pool {
     }
 
     fn filter(n: usize, out: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        if n < GRAIN {
+            return Seq::filter(n, out, keep);
+        }
         let kept: Vec<VertexId> = (0..n as VertexId)
             .into_par_iter()
             .filter(|&v| keep(v))
@@ -356,16 +379,25 @@ impl Exec for Pool {
     }
 
     fn retain(list: &mut Vec<VertexId>, keep: impl Fn(VertexId) -> bool + Sync) {
+        if list.len() < GRAIN {
+            return Seq::retain(list, keep);
+        }
         let kept: Vec<VertexId> = list.par_iter().filter(|&&v| keep(v)).map(|&v| v).collect();
         list.clear();
         list.extend_from_slice(&kept);
     }
 
     fn for_range(n: usize, f: impl Fn(VertexId) + Sync) {
+        if n < GRAIN {
+            return Seq::for_range(n, f);
+        }
         (0..n as VertexId).into_par_iter().for_each(&f);
     }
 
     fn sum(n: usize, f: impl Fn(VertexId) -> (u64, u64) + Sync) -> (u64, u64) {
+        if n < GRAIN {
+            return Seq::sum(n, f);
+        }
         (0..n as VertexId)
             .into_par_iter()
             .map(&f)
@@ -837,6 +869,26 @@ mod tests {
         )
     }
 
+    /// The maximal matching of Fig. 2(a): (x2,y2), (x3,y1), (x4,y4), (x5,y5).
+    fn fig2_start(g: &BipartiteCsr) -> Matching {
+        let mut m0 = Matching::for_graph(g);
+        m0.match_pair(1, 1);
+        m0.match_pair(2, 0);
+        m0.match_pair(3, 3);
+        m0.match_pair(4, 4);
+        m0
+    }
+
+    /// A deficient graph: 80 X vertices compete for 8 Y vertices.
+    fn deficient() -> BipartiteCsr {
+        let mut edges = Vec::new();
+        for x in 0..80u32 {
+            edges.push((x, x % 5));
+            edges.push((x, 5 + (x % 3)));
+        }
+        BipartiteCsr::from_edges(80, 8, &edges)
+    }
+
     fn chain(k: u32) -> BipartiteCsr {
         let mut edges = Vec::new();
         for i in 0..k {
@@ -851,12 +903,7 @@ mod tests {
     #[test]
     fn fig2_example_reaches_maximum() {
         let g = fig2_graph();
-        // The maximal matching of Fig. 2(a): (x2,y2), (x3,y1), (x4,y4), (x5,y5).
-        let mut m0 = Matching::for_graph(&g);
-        m0.match_pair(1, 1);
-        m0.match_pair(2, 0);
-        m0.match_pair(3, 3);
-        m0.match_pair(4, 4);
+        let m0 = fig2_start(&g);
         for t in WIDTHS {
             for opts in all_configs() {
                 let out = run_at(&g, m0.clone(), &opts, t);
@@ -868,19 +915,13 @@ mod tests {
 
     #[test]
     fn all_configs_agree_on_hard_graphs() {
-        // A deficient graph: 80 X vertices compete for 8 Y vertices.
-        let mut deficient = Vec::new();
-        for x in 0..80u32 {
-            deficient.push((x, x % 5));
-            deficient.push((x, 5 + (x % 3)));
-        }
         let graphs = [
             BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]),
             BipartiteCsr::from_edges(4, 2, &[(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]),
             BipartiteCsr::from_edges(1, 1, &[(0, 0)]),
             BipartiteCsr::from_edges(3, 3, &[]),
             BipartiteCsr::from_edges(0, 5, &[]),
-            BipartiteCsr::from_edges(80, 8, &deficient),
+            deficient(),
             BipartiteCsr::from_edges(
                 5,
                 5,
@@ -987,13 +1028,19 @@ mod tests {
         );
     }
 
-    /// A traced `ms-bfs-graft-par` solve at `threads` (width 1 runs `Seq`)
-    /// and its event stream.
-    fn traced_at(g: &BipartiteCsr, m: Matching, threads: usize) -> (RunOutcome, Vec<TraceEvent>) {
+    /// A traced `ms-bfs-graft-par` solve configured by `ms_bfs` at
+    /// `threads` (width 1 runs `Seq`) and its event stream.
+    fn traced_at(
+        g: &BipartiteCsr,
+        m: Matching,
+        ms_bfs: MsBfsOptions,
+        threads: usize,
+    ) -> (RunOutcome, Vec<TraceEvent>) {
         let sink = std::sync::Arc::new(crate::trace::MemorySink::new());
         let tracer = Tracer::to_sink(std::sync::Arc::clone(&sink) as _);
         let opts = crate::SolveOptions {
             threads,
+            ms_bfs,
             ..crate::SolveOptions::default()
         };
         let alg = crate::Algorithm::MsBfsGraftParallel;
@@ -1018,7 +1065,8 @@ mod tests {
     fn frontier_levels_are_traced() {
         for t in WIDTHS {
             for g in [fig2_graph(), chain(50)] {
-                let (out, events) = traced_at(&g, Matching::for_graph(&g), t);
+                let (out, events) =
+                    traced_at(&g, Matching::for_graph(&g), MsBfsOptions::graft(), t);
                 replay_one(&events, &out);
                 let levels: Vec<u64> = events
                     .iter()
@@ -1040,13 +1088,9 @@ mod tests {
         // roots resolve in one phase (two disjoint augmenting paths of
         // lengths 1 and 3), and the second phase certifies termination.
         let g = fig2_graph();
-        let mut m0 = Matching::for_graph(&g);
-        m0.match_pair(1, 1);
-        m0.match_pair(2, 0);
-        m0.match_pair(3, 3);
-        m0.match_pair(4, 4);
+        let m0 = fig2_start(&g);
         for t in WIDTHS {
-            let (out, events) = traced_at(&g, m0.clone(), t);
+            let (out, events) = traced_at(&g, m0.clone(), MsBfsOptions::graft(), t);
             assert_eq!(out.matching.cardinality(), 6);
             let p = replay_one(&events, &out).phases;
             assert_eq!(p.len(), 2, "t={t}");
@@ -1056,6 +1100,81 @@ mod tests {
             assert_eq!(graft.renewable_y, 5, "t={t}");
             assert_eq!(graft.active_x, 0, "t={t}"); // every tree found a path
             assert_eq!(p[1].augmentations, 0, "t={t}"); // certification phase
+        }
+    }
+
+    #[test]
+    fn wide_sweeps_run_on_the_pool() {
+        // From the empty matching the first level spans all of X: plain
+        // MS-BFS sweeps it top-down (concurrent visited claims) and
+        // MS-BFS-Graft bottom-up over all of Y, both at least `GRAIN`
+        // vertices wide, so both take the `Pool` path at widths 2 and 4.
+        // A grain above this graph's size fails the level checks.
+        let n = 4096;
+        let g = crate::tests_support::random_graph(n, n, 3 * n, 7);
+        let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
+            .matching
+            .cardinality();
+        for t in [2, 4] {
+            let (mut top_down, mut bottom_up) = (false, false);
+            for opts in [MsBfsOptions::plain(), MsBfsOptions::graft()] {
+                let (out, events) = traced_at(&g, Matching::for_graph(&g), opts, t);
+                replay_one(&events, &out);
+                assert!(is_maximum(&g, &out.matching), "t={t}");
+                assert_eq!(out.matching.cardinality(), oracle, "t={t}");
+                for ev in &events {
+                    // A top-down level sweeps the frontier, a bottom-up
+                    // level the unvisited Y vertices.
+                    match *ev {
+                        TraceEvent::Level {
+                            frontier,
+                            bottom_up: false,
+                            ..
+                        } => top_down |= frontier >= GRAIN as u64,
+                        TraceEvent::Level {
+                            unvisited_y,
+                            bottom_up: true,
+                            ..
+                        } => bottom_up |= unvisited_y >= GRAIN as u64,
+                        _ => {}
+                    }
+                }
+            }
+            assert!(top_down, "t={t}: no top-down level of GRAIN vertices");
+            assert!(bottom_up, "t={t}: no bottom-up level of GRAIN vertices");
+        }
+    }
+
+    #[test]
+    fn sweeps_below_the_grain_match_width_one() {
+        // Every sweep on these graphs is shorter than `GRAIN`, so a wider
+        // solve runs the same loops in the same order as width 1.
+        let (fig2, chain, deficient) = (fig2_graph(), chain(200), deficient());
+        let cases = [
+            (&fig2, Matching::for_graph(&fig2)),
+            (&fig2, fig2_start(&fig2)),
+            (&chain, Matching::for_graph(&chain)),
+            (&deficient, Matching::for_graph(&deficient)),
+        ];
+        for (g, m0) in cases {
+            assert!(g.num_x().max(g.num_y()) < GRAIN);
+            for opts in all_configs() {
+                let want = run_at(g, m0.clone(), &opts, 1);
+                for t in [2, 4] {
+                    let out = run_at(g, m0.clone(), &opts, t);
+                    let ctx = format!("{opts:?} t={t}");
+                    assert_eq!(out.matching.mates_x(), want.matching.mates_x(), "{ctx}");
+                    assert_eq!(out.matching.mates_y(), want.matching.mates_y(), "{ctx}");
+                    let (a, b) = (&out.stats, &want.stats);
+                    assert_eq!(a.phases, b.phases, "{ctx}");
+                    assert_eq!(a.edges_traversed, b.edges_traversed, "{ctx}");
+                    assert_eq!(a.augmenting_paths, b.augmenting_paths, "{ctx}");
+                    assert_eq!(
+                        a.total_augmenting_path_edges, b.total_augmenting_path_edges,
+                        "{ctx}"
+                    );
+                }
+            }
         }
     }
 

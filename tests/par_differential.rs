@@ -29,6 +29,18 @@ const ENGINE_PAIRS: [(Algorithm, Algorithm); 3] = [
     (Algorithm::PushRelabelParallel, Algorithm::PushRelabel),
 ];
 
+/// `ms-bfs-graft-par` from the empty matching. The Karp-Sipser starts
+/// leave every top-down level below the engine's split grain, so none of
+/// their visited claims is concurrent. From the empty matching the first
+/// level is all of X: plain MS-BFS sweeps it top-down with concurrent
+/// claims, MS-BFS-Graft bottom-up.
+fn empty_start_cases() -> [(&'static str, MsBfsOptions); 2] {
+    [
+        (" from empty (plain)", MsBfsOptions::plain()),
+        (" from empty (graft)", MsBfsOptions::graft()),
+    ]
+}
+
 /// Base initializer seed; the stress loop varies it per iteration.
 fn base_seed() -> u64 {
     std::env::var("GRAFT_DIFF_SEED")
@@ -57,13 +69,30 @@ fn parallel_engines_match_serial_at_every_width() {
     for name in GRAPHS {
         let g = gen::suite::by_name(name).unwrap().build(gen::Scale::Tiny);
         for seed in seeds {
-            for (par, serial) in ENGINE_PAIRS {
-                let baseline = solve(&g, serial, &opts(1, seed));
+            let mut cases: Vec<(Algorithm, Algorithm, &str, SolveOptions)> = ENGINE_PAIRS
+                .iter()
+                .map(|&(par, serial)| (par, serial, "", opts(1, seed)))
+                .collect();
+            for (label, ms_bfs) in empty_start_cases() {
+                let o = SolveOptions {
+                    initializer: matching::init::Initializer::None,
+                    ms_bfs,
+                    ..opts(1, seed)
+                };
+                cases.push((
+                    Algorithm::MsBfsGraftParallel,
+                    Algorithm::MsBfsGraft,
+                    label,
+                    o,
+                ));
+            }
+            for (par, serial, label, o) in cases {
+                let baseline = solve(&g, serial, &o);
                 baseline.matching.validate(&g).unwrap();
                 let want = baseline.matching.cardinality();
                 for t in THREAD_COUNTS {
-                    let out = solve(&g, par, &opts(t, seed));
-                    let ctx = format!("{} on {name} seed={seed} threads={t}", par.name());
+                    let out = solve(&g, par, &SolveOptions { threads: t, ..o });
+                    let ctx = format!("{} on {name} seed={seed} threads={t}{label}", par.name());
                     out.matching
                         .validate(&g)
                         .unwrap_or_else(|e| panic!("{ctx}: invalid matching: {e}"));
